@@ -1,25 +1,16 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/data"
-	"repro/internal/dataio"
+	"repro/internal/drill"
 	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -27,10 +18,10 @@ import (
 // run|plan|resume -spec FILE` executes (or previews) one declarative job
 // against either an in-process registry or a -backends fleet through the
 // cluster router — the same engine POST /v1/jobs runs. With -selftest it
-// instead runs the crash-recovery acceptance gate: a multi-shard job
-// against a spawned backend fleet, SIGKILLed mid-flight via
-// -kill-after-shards, resumed, and gated on byte-identity with an
-// uninterrupted same-seed run plus zero duplicated Transfers.
+// instead runs the job drill (internal/drill): a multi-shard job against
+// a spawned backend fleet, SIGKILLed mid-flight via -kill-after-shards,
+// resumed, and checked for byte-identity with an uninterrupted same-seed
+// run plus zero duplicated Transfers; results land in BENCH_jobs.json.
 func runJob(args []string) {
 	verb := "run"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -57,50 +48,25 @@ func runJob(args []string) {
 	killAfter := fs.Int("kill-after-shards", 0,
 		"SIGKILL this process once N shards have committed (crash-recovery drills; 0 disables)")
 	selftest := fs.Bool("selftest", false, "run the kill/resume acceptance gate instead of a job")
-	stBackends := fs.Int("selftest-backends", 2, "selftest: backends to spawn")
-	stRows := fs.Int("selftest-rows", 64, "selftest: input rows")
-	stShards := fs.Int("selftest-shards", 8, "selftest: shards per job")
-	stKill := fs.Int("selftest-kill-after", 2, "selftest: SIGKILL the run after this many committed shards")
 	benchPath := fs.String("bench", "BENCH_jobs.json", "selftest: write the perf record to `file` (empty to disable)")
 	workdir := fs.String("workdir", "", "selftest: keep specs/checkpoints/outputs in this `dir` (default: temp, removed)")
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
-	rec, finish, err := of.setup()
-	if err != nil {
-		fatal(err)
-	}
-	if rec == nil || rec.Metrics == nil {
-		var tracer *obs.Tracer
-		if rec != nil {
-			tracer = rec.Tracer
-		}
-		rec = obs.NewRecorder(obs.NewRegistry(), tracer)
-	}
-	rec.SeedTraceIDs(*seed)
+	rec, finish := of.setupMetered(*seed)
 
 	if *selftest {
-		if err := runJobSelftest(jobSelftestConfig{
-			backends:    *stBackends,
-			rows:        *stRows,
-			shards:      *stShards,
-			killAfter:   *stKill,
-			replication: *replication,
-			scale:       *scale,
-			seed:        *seed,
-			faults:      *faultSpec,
-			benchPath:   *benchPath,
-			workdir:     *workdir,
-			rec:         rec,
-		}); err != nil {
-			if ferr := finish(); ferr != nil {
-				fmt.Fprintf(os.Stderr, "knowtrans: observability shutdown: %v\n", ferr)
-			}
-			fatal(err)
-		}
-		if err := finish(); err != nil {
-			fatal(err)
-		}
+		rep, err := drill.Job(context.Background(), drill.JobSpec{
+			Spawn:       drill.ServeProcess(*scale, *seed, 4, *faultSpec),
+			Reference:   drill.ZooReference(eval.NewZoo(*seed, *scale)),
+			Crash:       drill.JobProcess(*replication, *seed),
+			Replication: *replication,
+			Seed:        *seed,
+			Workdir:     *workdir,
+			Rec:         rec,
+			Config:      map[string]string{"scale": fmt.Sprint(*scale), "faults": *faultSpec},
+		})
+		finishSelftest(rep, err, *benchPath, finish)
 		return
 	}
 
@@ -128,16 +94,7 @@ func runJob(args []string) {
 		defer r.Close()
 		res = r
 	} else {
-		z := eval.NewZoo(*seed, *scale)
-		z.Rec = rec
-		if *faultSpec != "" {
-			fcfg, err := faults.ParseSpec(*faultSpec)
-			if err != nil {
-				fatal(err)
-			}
-			z.Faults = &fcfg
-		}
-		res = serve.NewRegistry(zooTransferer(z), serve.Options{Rec: rec})
+		res = serve.NewRegistry(zooTransferer(newZoo(*seed, *scale, *faultSpec, rec)), serve.Options{Rec: rec})
 	}
 
 	eng := &jobs.Engine{Res: res, CheckpointDir: *checkpointDir, Rec: rec}
@@ -185,417 +142,4 @@ func runJob(args []string) {
 	if err := finish(); err != nil {
 		fatal(err)
 	}
-}
-
-type jobSelftestConfig struct {
-	backends    int
-	rows        int
-	shards      int
-	killAfter   int
-	replication int
-	scale       float64
-	seed        int64
-	faults      string
-	benchPath   string
-	workdir     string
-	rec         *obs.Recorder
-}
-
-// BenchJobs is the BENCH_jobs.json document (schema 1). The "report"
-// section holds the numerics `obs diff` gates — job shape, recovery
-// outcome verdicts (as 0/1 ints), and throughput; run-volatile evidence
-// (kill timing, retry counts) lives in "chaos", which the diff loader
-// skips.
-type BenchJobs struct {
-	SchemaVersion int             `json:"schema_version"`
-	GeneratedAt   string          `json:"generated_at"`
-	Seed          int64           `json:"seed"`
-	Scale         float64         `json:"scale"`
-	Faults        string          `json:"faults,omitempty"`
-	Adapter       string          `json:"adapter"`
-	Backends      int             `json:"backends"`
-	Report        *BenchJobsStats `json:"report"`
-	Chaos         *BenchJobsChaos `json:"chaos"`
-}
-
-// BenchJobsStats is the gated surface of one selftest run.
-type BenchJobsStats struct {
-	Rows               int     `json:"rows"`
-	Shards             int     `json:"shards"`
-	ResumedShards      int     `json:"resumed_shards"`
-	RowFailures        int     `json:"row_failures"`
-	DuplicateTransfers int     `json:"duplicate_transfers"`
-	ByteIdentical      int     `json:"byte_identical"`
-	PlanDeterministic  int     `json:"plan_deterministic"`
-	WallS              float64 `json:"wall_s"`
-	RowsPerS           float64 `json:"rows_per_s"`
-}
-
-// BenchJobsChaos is the crash-recovery evidence around the SIGKILL.
-type BenchJobsChaos struct {
-	KilledAfterShards      int   `json:"killed_after_shards"`
-	CommittedBeforeKill    int   `json:"committed_before_kill"`
-	Retries                int64 `json:"retries"`
-	TruncatedTailRecovered int   `json:"truncated_tail_recovered"`
-}
-
-// runJobSelftest is the acceptance gate behind `knowtrans job -selftest`:
-// plan determinism, a SIGKILL mid-job, a resume that skips every committed
-// shard, byte-identity with an uninterrupted run, and zero duplicated
-// Transfers across the whole drill.
-func runJobSelftest(cfg jobSelftestConfig) error {
-	if cfg.killAfter < 1 || cfg.killAfter >= cfg.shards {
-		return fmt.Errorf("job: -selftest-kill-after must be in [1,%d)", cfg.shards)
-	}
-	work := cfg.workdir
-	if work == "" {
-		var err error
-		if work, err = os.MkdirTemp("", "knowtrans-job-selftest-"); err != nil {
-			return err
-		}
-		defer os.RemoveAll(work)
-	} else if err := os.MkdirAll(work, 0o755); err != nil {
-		return err
-	}
-
-	// Build the input: the first downstream dataset's test split, cycled to
-	// the requested row count under fresh IDs, in one dpgen-format file.
-	ref := eval.NewZoo(cfg.seed, cfg.scale)
-	key := ref.DownstreamKeys()[0]
-	b, _ := ref.FindDownstream(key)
-	task, _, _ := strings.Cut(key, "/")
-	ds := &data.Dataset{Name: "bulk", Task: task}
-	for i := 0; i < cfg.rows; i++ {
-		cp := *b.DS.Test[i%len(b.DS.Test)]
-		cp.ID = fmt.Sprintf("bulk-%03d", i)
-		ds.Test = append(ds.Test, &cp)
-	}
-	input := filepath.Join(work, "input.json")
-	f, err := os.Create(input)
-	if err != nil {
-		return err
-	}
-	if err := dataio.EncodeJSON(ds, "", f); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
-
-	// Two specs over the same input and adapter, differing only in output
-	// path (so they are distinct jobs with distinct checkpoint logs): A
-	// runs uninterrupted, B is killed and resumed. Byte-identity of their
-	// outputs is the recovery verdict.
-	writeSpec := func(name, out string) (string, *jobs.Spec, error) {
-		blob := fmt.Sprintf(`{
-  "adapter": %q,
-  "input": {"path": %q},
-  "output": {"path": %q},
-  "shards": %d,
-  "limits": {"concurrency": 8, "shard_parallelism": 2, "retries": 3, "row_timeout_s": 60}
-}`, key, input, out, cfg.shards)
-		path := filepath.Join(work, name)
-		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-			return "", nil, err
-		}
-		sp, err := jobs.ParseSpec([]byte(blob))
-		return path, sp, err
-	}
-	outA := filepath.Join(work, "outA.csv")
-	outB := filepath.Join(work, "outB.csv")
-	if _, _, err := writeSpec("specA.json", outA); err != nil {
-		return err
-	}
-	specBPath, spB, err := writeSpec("specB.json", outB)
-	if err != nil {
-		return err
-	}
-	spA, err := jobs.ParseSpecFile(filepath.Join(work, "specA.json"))
-	if err != nil {
-		return err
-	}
-
-	// Spawn the backend fleet (same recipe as the route selftest: every
-	// backend is deterministic in (seed, scale, faults)).
-	fmt.Printf("selftest: spawning %d backends (scale=%.2f seed=%d faults=%q)...\n",
-		cfg.backends, cfg.scale, cfg.seed, cfg.faults)
-	procs := make([]*backendProc, 0, cfg.backends)
-	defer func() {
-		for _, p := range procs {
-			if p.cmd.ProcessState == nil {
-				p.cmd.Process.Kill()
-				p.cmd.Wait()
-			}
-		}
-	}()
-	urls := make([]string, 0, cfg.backends)
-	for i := 0; i < cfg.backends; i++ {
-		p, err := spawnBackend(cfg.scale, cfg.seed, 4, cfg.faults)
-		if err != nil {
-			return err
-		}
-		procs = append(procs, p)
-		urls = append(urls, p.url)
-	}
-	for _, u := range urls {
-		if err := waitReady(u, 30*time.Second); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("selftest: fleet up: %s\n", strings.Join(urls, " "))
-
-	// Error-envelope probe: a predict for an unknown dataset must come back
-	// as the canonical envelope with the right code and retryability.
-	if err := probeErrorEnvelope(urls[0]); err != nil {
-		return err
-	}
-
-	router, err := cluster.New(cluster.Options{
-		Backends:    urls,
-		Replication: cfg.replication,
-		Seed:        cfg.seed,
-		Rec:         cfg.rec,
-	})
-	if err != nil {
-		return err
-	}
-	defer router.Close()
-
-	// Plan determinism: the same spec must render byte-identical plans.
-	eng := &jobs.Engine{Res: router, CheckpointDir: filepath.Join(work, "ckptA"), Rec: cfg.rec}
-	var renders [2]string
-	for i := range renders {
-		p, err := eng.Plan(spA)
-		if err != nil {
-			return err
-		}
-		var sb strings.Builder
-		p.Render(&sb)
-		renders[i] = sb.String()
-	}
-	planDet := 0
-	if renders[0] == renders[1] {
-		planDet = 1
-	} else {
-		return fmt.Errorf("job: plan render is not deterministic:\n%s\nvs\n%s", renders[0], renders[1])
-	}
-
-	// Job A: uninterrupted reference run through the router.
-	fmt.Printf("selftest: job A — %d rows over %d shards, uninterrupted\n", cfg.rows, cfg.shards)
-	pA, err := eng.Plan(spA)
-	if err != nil {
-		return err
-	}
-	resA, err := eng.Run(context.Background(), pA, nil)
-	if err != nil {
-		return fmt.Errorf("job: reference run: %w", err)
-	}
-
-	// Job B: a subprocess runs the same rows and SIGKILLs itself the
-	// instant the Nth shard commits — a real crash, no deferred cleanup.
-	ckptB := filepath.Join(work, "ckptB")
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
-	fmt.Printf("selftest: job B — same rows, SIGKILL after %d committed shards\n", cfg.killAfter)
-	cmd := exec.Command(exe, "job", "run",
-		"-spec", specBPath,
-		"-backends", strings.Join(urls, ","),
-		"-checkpoint", ckptB,
-		"-replication", fmt.Sprintf("%d", cfg.replication),
-		"-seed", fmt.Sprintf("%d", cfg.seed),
-		"-kill-after-shards", fmt.Sprintf("%d", cfg.killAfter),
-	)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err == nil {
-		return fmt.Errorf("job: the -kill-after-shards run exited 0; it must die mid-job")
-	}
-	st, err := jobs.ReadLog(jobs.CheckpointPath(ckptB, spB.ID()))
-	if err != nil {
-		return fmt.Errorf("job: reading post-kill checkpoint: %w", err)
-	}
-	committed := len(st.Shards)
-	if committed < cfg.killAfter {
-		return fmt.Errorf("job: only %d shards survived the kill, want >= %d fsynced commits", committed, cfg.killAfter)
-	}
-	if committed >= cfg.shards || st.Done {
-		return fmt.Errorf("job: the killed run finished all %d shards (done=%v); the kill came too late to prove anything", committed, st.Done)
-	}
-	fmt.Printf("selftest: killed run left %d/%d committed shards\n", committed, cfg.shards)
-
-	// Tear the checkpoint tail the way a second kill mid-append would, and
-	// require recovery to tolerate it.
-	cf, err := os.OpenFile(jobs.CheckpointPath(ckptB, spB.ID()), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := cf.WriteString(`{"type":"shard","shard":99,"answers":["torn`); err != nil {
-		cf.Close()
-		return err
-	}
-	cf.Close()
-	st2, err := jobs.ReadLog(jobs.CheckpointPath(ckptB, spB.ID()))
-	if err != nil {
-		return fmt.Errorf("job: torn checkpoint tail was not tolerated: %w", err)
-	}
-	if !st2.Truncated || len(st2.Shards) != committed {
-		return fmt.Errorf("job: torn-tail recovery wrong: truncated=%v shards=%d (want %d)", st2.Truncated, len(st2.Shards), committed)
-	}
-
-	// Resume in-process: every committed shard must be adopted, none rerun.
-	fmt.Printf("selftest: resuming job B from its checkpoint...\n")
-	engB := &jobs.Engine{Res: router, CheckpointDir: ckptB, Rec: cfg.rec}
-	pB, err := engB.Plan(spB)
-	if err != nil {
-		return err
-	}
-	resB, err := engB.Run(context.Background(), pB, nil)
-	if err != nil {
-		return fmt.Errorf("job: resume: %w", err)
-	}
-	if resB.ResumedShards != committed {
-		return fmt.Errorf("job: resume adopted %d shards, checkpoint held %d", resB.ResumedShards, committed)
-	}
-
-	// Byte-identity: the killed-and-resumed output vs the uninterrupted one.
-	blobA, err := os.ReadFile(outA)
-	if err != nil {
-		return err
-	}
-	blobB, err := os.ReadFile(outB)
-	if err != nil {
-		return err
-	}
-	byteIdentical := 0
-	if bytes.Equal(blobA, blobB) {
-		byteIdentical = 1
-	}
-
-	// Duplicate-Transfer audit: ask every backend for its per-key stats;
-	// across job A, the killed run, and the resume, no adapter may have
-	// been transferred twice anywhere in the fleet.
-	duplicates := 0
-	for _, u := range urls {
-		resp, err := http.Get(u + "/v1/adapters")
-		if err != nil {
-			return fmt.Errorf("job: adapters probe %s: %w", u, err)
-		}
-		var ar serve.AdaptersResponse
-		err = json.NewDecoder(resp.Body).Decode(&ar)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("job: adapters probe %s: %w", u, err)
-		}
-		for _, ks := range ar.Adapters {
-			if ks.Transfers > 1 {
-				duplicates += int(ks.Transfers - 1)
-				fmt.Printf("selftest: backend %s transferred %s %d times\n", u, ks.Key, ks.Transfers)
-			}
-		}
-	}
-
-	// Survivoring backends must drain clean on SIGTERM.
-	for _, p := range procs {
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return fmt.Errorf("job: SIGTERM %s: %w", p.url, err)
-		}
-	}
-	for _, p := range procs {
-		done := make(chan error, 1)
-		go func(p *backendProc) { done <- p.cmd.Wait() }(p)
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("job: backend %s did not drain clean: %v", p.url, err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("job: backend %s still running 15s after SIGTERM", p.url)
-		}
-	}
-
-	wall := resA.WallS + resB.WallS
-	report := &BenchJobsStats{
-		Rows:               resB.Rows,
-		Shards:             resB.Shards,
-		ResumedShards:      resB.ResumedShards,
-		RowFailures:        resA.RowFailures + resB.RowFailures,
-		DuplicateTransfers: duplicates,
-		ByteIdentical:      byteIdentical,
-		PlanDeterministic:  planDet,
-		WallS:              wall,
-	}
-	if wall > 0 {
-		report.RowsPerS = float64(resA.Rows+resB.Rows) / wall
-	}
-	chaos := &BenchJobsChaos{
-		KilledAfterShards:      cfg.killAfter,
-		CommittedBeforeKill:    committed,
-		Retries:                resA.Retries + resB.Retries,
-		TruncatedTailRecovered: 1,
-	}
-
-	fmt.Printf("selftest: %d rows, %d shards, resumed %d, %d row failures, %d duplicate transfers\n",
-		report.Rows, report.Shards, report.ResumedShards, report.RowFailures, duplicates)
-	fmt.Printf("selftest: byte_identical=%d plan_deterministic=%d (%.2fs wall, %.0f rows/s)\n",
-		byteIdentical, planDet, wall, report.RowsPerS)
-
-	if cfg.benchPath != "" {
-		doc := &BenchJobs{
-			SchemaVersion: 1,
-			GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-			Seed:          cfg.seed,
-			Scale:         cfg.scale,
-			Faults:        cfg.faults,
-			Adapter:       key,
-			Backends:      cfg.backends,
-			Report:        report,
-			Chaos:         chaos,
-		}
-		blob, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.benchPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.benchPath)
-	}
-
-	// Verdicts: the recovery story holds or the gate fails.
-	if byteIdentical != 1 {
-		return fmt.Errorf("job: resumed output differs from the uninterrupted run (%s vs %s)", outB, outA)
-	}
-	if duplicates != 0 {
-		return fmt.Errorf("job: %d duplicated Transfers across the kill/resume drill, want 0", duplicates)
-	}
-	if report.RowFailures != 0 {
-		return fmt.Errorf("job: %d rows were lost, want 0 (retries should absorb transient faults)", report.RowFailures)
-	}
-	fmt.Println("selftest: PASS")
-	return nil
-}
-
-// probeErrorEnvelope asserts one backend answers an unknown-dataset
-// predict with the canonical error envelope.
-func probeErrorEnvelope(url string) error {
-	body := `{"adapter":"EM/NoSuchDataset","instance":{"id":"p","candidates":["a","b"]}}`
-	resp, err := http.Post(url+"/v1/predict", "application/json", strings.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("job: envelope probe: %w", err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return fmt.Errorf("job: envelope probe: %w", err)
-	}
-	if resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("job: envelope probe: status %d, want 404 (%s)", resp.StatusCode, buf.String())
-	}
-	eb, ok := serve.ParseErrorEnvelope(buf.Bytes())
-	if !ok || eb.Code != serve.CodeNotFound || eb.Retryable {
-		return fmt.Errorf("job: envelope probe: body is not the canonical envelope: %s", buf.String())
-	}
-	fmt.Printf("selftest: error envelope ok (code=%s retryable=%v)\n", eb.Code, eb.Retryable)
-	return nil
 }

@@ -39,6 +39,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/lora"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/tasks"
 )
@@ -89,15 +90,13 @@ func usage() {
   knowtrans route -backends URL,URL,... [-addr HOST:PORT] [-replication N]
                   [-probe-interval D] [-fail-threshold N] [-hedge-delay D]
                   [-retry-budget N] [-drain-timeout D] [obs flags]
-  knowtrans route -selftest [-selftest-backends N] [-selftest-requests N]
-                  [-selftest-concurrency N] [-selftest-adapters N] [-scale S]
-                  [-faults SPEC] [-bench BENCH_cluster.json]
+  knowtrans route -selftest [-scale S] [-seed K] [-faults SPEC]
+                  [-bench BENCH_cluster.json]
   knowtrans job [run|plan|resume] -spec FILE.{json,yaml} [-backends URL,URL]
                 [-replication N] [-checkpoint DIR] [-dry-run] [-scale S]
                 [-seed K] [-faults SPEC] [obs flags]
-  knowtrans job -selftest [-selftest-backends N] [-selftest-rows N]
-                [-selftest-shards N] [-selftest-kill-after N] [-scale S]
-                [-faults SPEC] [-bench BENCH_jobs.json] [-workdir DIR]
+  knowtrans job -selftest [-scale S] [-seed K] [-faults SPEC]
+                [-bench BENCH_jobs.json] [-workdir DIR]
   knowtrans obs trace FILE.jsonl [-top N] [-json] [-trace-id ID] [-follow]
   knowtrans obs top [-url URL] [-interval D] [-n N] [-once]
   knowtrans obs diff A.json B.json [-rel-tol F] [-strict] [-json]
@@ -159,16 +158,8 @@ func runExperiment(args []string) {
 		fatal(err)
 	}
 	rec.SeedTraceIDs(*seed)
-	z := eval.NewZoo(*seed, *scale)
-	z.Rec = rec
+	z := newZoo(*seed, *scale, *faultSpec, rec)
 	z.Workers = *workers
-	if *faultSpec != "" {
-		fcfg, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		z.Faults = &fcfg
-	}
 
 	bench := &BenchRun{}
 	run := func(e eval.Experiment) {
@@ -274,4 +265,19 @@ func runTransfer(args []string) {
 	if err := finish(); err != nil {
 		fatal(err)
 	}
+}
+
+// newZoo builds the zoo a command runs on, recording into rec and, given a
+// fault spec, arming seeded chaos injection on the oracle path.
+func newZoo(seed int64, scale float64, faultSpec string, rec *obs.Recorder) *eval.Zoo {
+	z := eval.NewZoo(seed, scale)
+	z.Rec = rec
+	if faultSpec != "" {
+		fcfg, err := faults.ParseSpec(faultSpec)
+		if err != nil {
+			fatal(err)
+		}
+		z.Faults = &fcfg
+	}
+	return z
 }

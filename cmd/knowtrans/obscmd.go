@@ -49,9 +49,11 @@ func obsUsage() {
       live operator view of a running server: polls /metrics.json for
       in-flight requests, per-key queue depths, and rolling p50/p95
   knowtrans obs diff A.json B.json [-rel-tol F] [-wall-tol F] [-strict] [-verbose] [-json]
-      compare two BENCH_run.json or BENCH_serve.json documents
-      metric-by-metric; exits 1 when any metric regressed beyond the
-      relative tolerance
+      compare two bench documents (BENCH_run.json experiment records or
+      BENCH_{serve,cluster,jobs,allocs}.json drill reports) metric by
+      metric; exits 1 on any regression: a changed invariant at any
+      tolerance, or a perf metric worse than the relative tolerance in its
+      declared direction (either direction when undeclared)
   knowtrans obs prof TIMELINE.jsonl [-windows N] [-json] [-gate] [-diff BASELINE.jsonl] [-rel-tol F]
       summarize a runtime-metrics timeline recorded with -sample: heap
       growth slope, GC pause p50/p95, goroutine-leak detection across
@@ -219,21 +221,21 @@ func runObsDiff(args []string) {
 	verbose := fs.Bool("verbose", false, "also list unchanged metrics and wall-time deltas")
 	asJSON := fs.Bool("json", false, "emit the diff as JSON instead of text")
 	if len(args) < 2 || strings.HasPrefix(args[0], "-") || strings.HasPrefix(args[1], "-") {
-		fmt.Fprintln(os.Stderr, "knowtrans: obs diff needs two BENCH_run.json files")
+		fmt.Fprintln(os.Stderr, "knowtrans: obs diff needs two bench documents")
 		obsUsage()
 		os.Exit(2)
 	}
 	pathA, pathB := args[0], args[1]
 	parseOrExit(fs, args[2:])
-	a, err := analyze.LoadBenchRun(pathA)
+	a, err := analyze.LoadBench(pathA)
 	if err != nil {
 		fatal(err)
 	}
-	b, err := analyze.LoadBenchRun(pathB)
+	b, err := analyze.LoadBench(pathB)
 	if err != nil {
 		fatal(err)
 	}
-	d := analyze.DiffBenchRuns(a, b, analyze.DiffOptions{
+	d := analyze.DiffBench(a, b, analyze.DiffOptions{
 		RelTol:  *relTol,
 		WallTol: *wallTol,
 		Strict:  *strict,

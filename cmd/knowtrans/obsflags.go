@@ -103,6 +103,27 @@ func (o *obsFlags) enabled() bool {
 		o.sample > 0 || o.cpuprofile != "" || o.memprofile != "" || o.profdir != ""
 }
 
+// setupMetered is setup for the serving commands, which always carry a
+// metrics registry — the /metrics endpoint, the registry counters and the
+// drills' batch evidence need one even when no obs flag asked for files —
+// and seed their trace IDs, so a seeded run's client traces and server
+// spans line up run over run.
+func (o *obsFlags) setupMetered(seed int64) (*obs.Recorder, func() error) {
+	rec, finish, err := o.setup()
+	if err != nil {
+		fatal(err)
+	}
+	if rec == nil || rec.Metrics == nil {
+		var tracer *obs.Tracer
+		if rec != nil {
+			tracer = rec.Tracer
+		}
+		rec = obs.NewRecorder(obs.NewRegistry(), tracer)
+	}
+	rec.SeedTraceIDs(seed)
+	return rec, finish
+}
+
 // setup builds the recorder the flags ask for. The returned finish func
 // flushes and closes everything — sampler, profiles, metrics, tracer, and
 // the pprof server — runs at most once (fatal() triggers it on the error

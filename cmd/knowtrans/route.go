@@ -2,33 +2,24 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/data"
+	"repro/internal/drill"
 	"repro/internal/eval"
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // runRoute starts the sharded serving tier: a consistent-hash router over
 // a fleet of `knowtrans serve` backends, exposing the exact same HTTP API
 // a single backend does (the router implements serve.Resolver). With
-// -selftest it instead spawns its own 3-backend fleet as subprocesses,
-// drives a concurrent seeded load through router + fleet, SIGKILLs one
-// backend mid-load, and requires zero failed requests, byte-identical
-// answers vs the direct path, recorded hedges/failovers, ejection of the
-// dead backend, and a clean SIGTERM drain of the survivors. Results land
+// -selftest it instead runs the route drill (internal/drill) over a
+// spawned 3-backend fleet, SIGKILLing one backend mid-load; results land
 // in BENCH_cluster.json.
 func runRoute(args []string) {
 	fs := newFlagSet("route")
@@ -53,10 +44,6 @@ func runRoute(args []string) {
 		"mount the bulk-job API (POST/GET /v1/jobs) with checkpoint logs in this `dir` (empty disables)")
 	maxJobs := fs.Int("max-jobs", 4, "with -jobs-dir: concurrent bulk jobs before 429")
 	selftest := fs.Bool("selftest", false, "run the fault-tolerance gate instead of routing forever")
-	stBackends := fs.Int("selftest-backends", 3, "selftest: backends to spawn")
-	stRequests := fs.Int("selftest-requests", 256, "selftest: predict requests per load phase")
-	stConcurrency := fs.Int("selftest-concurrency", 64, "selftest: concurrent in-flight requests")
-	stAdapters := fs.Int("selftest-adapters", 4, "selftest: distinct adapters to load")
 	scale := fs.Float64("scale", 0.15, "selftest: dataset scale for the spawned backends")
 	faultSpec := fs.String("faults", "",
 		"selftest: oracle-fault `spec` rate=R,seed=S[,kinds=a+b] forwarded to the spawned backends")
@@ -64,18 +51,7 @@ func runRoute(args []string) {
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
-	rec, finish, err := of.setup()
-	if err != nil {
-		fatal(err)
-	}
-	if rec == nil || rec.Metrics == nil {
-		var tracer *obs.Tracer
-		if rec != nil {
-			tracer = rec.Tracer
-		}
-		rec = obs.NewRecorder(obs.NewRegistry(), tracer)
-	}
-	rec.SeedTraceIDs(*seed)
+	rec, finish := of.setupMetered(*seed)
 
 	copts := cluster.Options{
 		Replication:    *replication,
@@ -93,26 +69,15 @@ func runRoute(args []string) {
 	}
 
 	if *selftest {
-		if err := runRouteSelftest(routeSelftestConfig{
-			backends:    *stBackends,
-			requests:    *stRequests,
-			concurrency: *stConcurrency,
-			adapters:    *stAdapters,
-			scale:       *scale,
-			seed:        *seed,
-			faults:      *faultSpec,
-			benchPath:   *benchPath,
-			copts:       copts,
-			reqTimeout:  *reqTimeout,
-		}); err != nil {
-			if ferr := finish(); ferr != nil {
-				fmt.Fprintf(os.Stderr, "knowtrans: observability shutdown: %v\n", ferr)
-			}
-			fatal(err)
-		}
-		if err := finish(); err != nil {
-			fatal(err)
-		}
+		rep, err := drill.Route(context.Background(), drill.RouteSpec{
+			Spawn:          drill.ServeProcess(*scale, *seed, drill.RouteAdapters+2, *faultSpec),
+			Reference:      drill.ZooReference(eval.NewZoo(*seed, *scale)),
+			Router:         copts,
+			RequestTimeout: *reqTimeout,
+			Seed:           *seed,
+			Config:         map[string]string{"scale": fmt.Sprint(*scale), "faults": *faultSpec},
+		})
+		finishSelftest(rep, err, *benchPath, finish)
 		return
 	}
 
@@ -176,558 +141,4 @@ func hedgeDesc(d time.Duration) string {
 	default:
 		return d.String()
 	}
-}
-
-type routeSelftestConfig struct {
-	backends    int
-	requests    int
-	concurrency int
-	adapters    int
-	scale       float64
-	seed        int64
-	faults      string
-	benchPath   string
-	copts       cluster.Options
-	reqTimeout  time.Duration
-}
-
-// BenchCluster is the BENCH_cluster.json document (schema 1). The "report"
-// section holds only the stable numerics `obs diff` gates against the
-// committed baseline — request/failure counts and the healthy vs degraded
-// latency profile. Run-volatile evidence (hedge and failover counts, the
-// killed backend, per-backend QPS) lives in "chaos" and "fleet", which the
-// diff loader skips.
-type BenchCluster struct {
-	SchemaVersion int                 `json:"schema_version"`
-	GeneratedAt   string              `json:"generated_at"`
-	Seed          int64               `json:"seed"`
-	Scale         float64             `json:"scale"`
-	Faults        string              `json:"faults,omitempty"`
-	Backends      int                 `json:"backends"`
-	Replication   int                 `json:"replication"`
-	HedgeDelayS   float64             `json:"hedge_delay_s"`
-	Keys          []string            `json:"keys"`
-	Report        *BenchClusterReport `json:"report"`
-	Chaos         *BenchClusterChaos  `json:"chaos"`
-	Fleet         []BenchClusterNode  `json:"fleet"`
-}
-
-// BenchClusterReport is the gated surface: totals across both load phases
-// plus each phase's latency profile. "healthy" is the full-fleet phase,
-// "degraded" the phase during which one backend was SIGKILLed mid-load.
-type BenchClusterReport struct {
-	Requests        int     `json:"requests"`
-	Non2xx          int     `json:"non_2xx"`
-	Mismatches      int     `json:"mismatches"`
-	TraceEchoMisses int     `json:"trace_echo_misses"`
-	WallS           float64 `json:"wall_s"`
-	HealthyP50us    float64 `json:"healthy_p50_us"`
-	HealthyP95us    float64 `json:"healthy_p95_us"`
-	HealthyP99us    float64 `json:"healthy_p99_us"`
-	HealthyRPS      float64 `json:"healthy_rps"`
-	DegradedP50us   float64 `json:"degraded_p50_us"`
-	DegradedP95us   float64 `json:"degraded_p95_us"`
-	DegradedP99us   float64 `json:"degraded_p99_us"`
-	DegradedRPS     float64 `json:"degraded_rps"`
-}
-
-// BenchClusterChaos is the fault-tolerance evidence: what the router did
-// while the fleet degraded.
-type BenchClusterChaos struct {
-	Hedges          int64   `json:"hedges"`
-	HedgeRate       float64 `json:"hedge_rate"`
-	Failovers       int64   `json:"failovers"`
-	Ejections       int64   `json:"ejections"`
-	Rejoins         int64   `json:"rejoins"`
-	KilledBackend   string  `json:"killed_backend"`
-	KilledAtRequest int     `json:"killed_at_request"`
-	RebalancedKeys  int     `json:"rebalanced_keys"`
-}
-
-// BenchClusterNode is one backend's share of the load.
-type BenchClusterNode struct {
-	URL      string  `json:"url"`
-	Requests int64   `json:"requests"`
-	Failures int64   `json:"failures"`
-	QPS      float64 `json:"qps"`
-	Healthy  bool    `json:"healthy_at_end"`
-}
-
-// backendProc is one spawned `knowtrans serve` subprocess.
-type backendProc struct {
-	cmd *exec.Cmd
-	url string
-}
-
-// spawnBackend execs this binary's own serve subcommand on an ephemeral
-// port and parses the announced bound address. Each backend gets the same
-// (seed, scale, faults), so the fleet is deterministic: any replica
-// answers any key byte-identically — the property that makes hedged and
-// failed-over answers indistinguishable from primary ones. Shared by the
-// route and job selftests.
-func spawnBackend(scale float64, seed int64, maxAdapters int, faultSpec string) (*backendProc, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
-	args := []string{
-		"serve", "-addr", "127.0.0.1:0",
-		"-scale", fmt.Sprintf("%g", scale),
-		"-seed", fmt.Sprintf("%d", seed),
-		"-max-adapters", fmt.Sprintf("%d", maxAdapters),
-		"-access-log", "",
-	}
-	if faultSpec != "" {
-		args = append(args, "-faults", faultSpec)
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	urlc := make(chan string, 1)
-	go func() {
-		// Parse the announcement line, then keep draining stdout so the
-		// child never blocks on a full pipe.
-		buf := make([]byte, 4096)
-		var acc []byte
-		for {
-			n, err := stdout.Read(buf)
-			if n > 0 {
-				acc = append(acc, buf[:n]...)
-				if u := parseServeURL(acc); u != "" {
-					select {
-					case urlc <- u:
-					default:
-					}
-					acc = nil
-				}
-			}
-			if err != nil {
-				close(urlc)
-				return
-			}
-		}
-	}()
-	select {
-	case u, ok := <-urlc:
-		if !ok || u == "" {
-			cmd.Process.Kill()
-			cmd.Wait()
-			return nil, fmt.Errorf("route: backend exited before announcing its address")
-		}
-		return &backendProc{cmd: cmd, url: u}, nil
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("route: backend did not announce its address within 30s")
-	}
-}
-
-// parseServeURL extracts the bound base URL from the serve banner
-// ("knowtrans serve on http://127.0.0.1:PORT (...)").
-func parseServeURL(out []byte) string {
-	s := string(out)
-	i := strings.Index(s, "serve on http://")
-	if i < 0 {
-		return ""
-	}
-	s = s[i+len("serve on "):]
-	if j := strings.IndexAny(s, " \n"); j >= 0 {
-		s = s[:j]
-	} else {
-		return "" // line not complete yet
-	}
-	return s
-}
-
-// waitReady polls a backend's /readyz until it answers 200 or the deadline
-// passes.
-func waitReady(url string, deadline time.Duration) error {
-	end := time.Now().Add(deadline)
-	for {
-		resp, err := http.Get(url + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(end) {
-			if err != nil {
-				return fmt.Errorf("route: backend %s never became ready: %v", url, err)
-			}
-			return fmt.Errorf("route: backend %s never became ready", url)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// runRouteSelftest is the acceptance gate behind `knowtrans route -selftest`:
-// spawn a fleet, route a concurrent load through it, murder one backend
-// mid-load, and require the client to never notice.
-func runRouteSelftest(cfg routeSelftestConfig) error {
-	if cfg.backends < 2 {
-		return fmt.Errorf("route: -selftest-backends must be >= 2 (replication needs somewhere to go)")
-	}
-
-	// Reference answers come from a direct zoo at the same (seed, scale,
-	// faults) — the oracle the routed answers must match byte-for-byte no
-	// matter which replica served them.
-	ref := eval.NewZoo(cfg.seed, cfg.scale)
-	keys := ref.DownstreamKeys()
-	if cfg.adapters < 1 || cfg.adapters > len(keys) {
-		return fmt.Errorf("route: -selftest-adapters must be in [1,%d]", len(keys))
-	}
-	keys = keys[:cfg.adapters]
-	fmt.Printf("selftest: building %d reference adapters (direct path)...\n", len(keys))
-	type refProbe struct {
-		in   *data.Instance
-		want string
-	}
-	probes := map[string]refProbe{}
-	items := make([]serve.LoadItem, 0, cfg.requests)
-	perKey := (cfg.requests + len(keys) - 1) / len(keys)
-	for _, key := range keys {
-		ad, err := ref.TransferDataset(context.Background(), key, eval.Size7B)
-		if err != nil {
-			return fmt.Errorf("route: reference transfer %s: %w", key, err)
-		}
-		b, _ := ref.FindDownstream(key)
-		for i := 0; i < perKey && len(items) < cfg.requests; i++ {
-			in := b.DS.Test[i%len(b.DS.Test)]
-			want := ad.Predict(context.Background(), in)
-			items = append(items, serve.LoadItem{Key: key, In: serve.WireFrom(in), Want: want})
-			if _, ok := probes[key]; !ok {
-				probes[key] = refProbe{in: in, want: want}
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(cfg.seed))
-	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-
-	// Spawn the fleet.
-	fmt.Printf("selftest: spawning %d backends (scale=%.2f seed=%d faults=%q)...\n",
-		cfg.backends, cfg.scale, cfg.seed, cfg.faults)
-	procs := make([]*backendProc, 0, cfg.backends)
-	defer func() {
-		for _, p := range procs {
-			if p.cmd.ProcessState == nil {
-				p.cmd.Process.Kill()
-				p.cmd.Wait()
-			}
-		}
-	}()
-	urls := make([]string, 0, cfg.backends)
-	for i := 0; i < cfg.backends; i++ {
-		p, err := spawnBackend(cfg.scale, cfg.seed, cfg.adapters+2, cfg.faults)
-		if err != nil {
-			return err
-		}
-		procs = append(procs, p)
-		urls = append(urls, p.url)
-	}
-	for _, u := range urls {
-		if err := waitReady(u, 30*time.Second); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("selftest: fleet up: %s\n", strings.Join(urls, " "))
-
-	// Two router replicas front the same fleet, one per load phase, each
-	// pinning one fault mechanism so the gate can require hard evidence of
-	// both. The hedging replica runs a fixed 2ms hedge delay: under this
-	// load every request outlives it, so tail hedging provably fires. The
-	// failover replica runs with hedging disabled: when the victim dies,
-	// the ONLY way its requests can still succeed is the error-triggered
-	// failover branch — no timer race can mask it. (With hedging on, the
-	// backup is already in flight before the primary's connection error
-	// lands, so the failover counter never moves — observed, not
-	// hypothesized.) Both probe independently; both must eject the corpse.
-	copts := cfg.copts
-	copts.Backends = urls
-	copts.ProbeInterval = 100 * time.Millisecond
-	copts.ProbeTimeout = time.Second
-	if copts.HedgeDelay == 0 {
-		copts.HedgeDelay = 2 * time.Millisecond
-	}
-	rHedge, err := cluster.New(copts)
-	if err != nil {
-		return err
-	}
-	defer rHedge.Close()
-	fopts := copts
-	fopts.HedgeDelay = -1 // failover replica: error-triggered retries only
-	rFail, err := cluster.New(fopts)
-	if err != nil {
-		return err
-	}
-	defer rFail.Close()
-
-	frontRouter := func(r *cluster.Router) (string, func(), error) {
-		srv := serve.NewServer(r, serve.Options{RequestTimeout: cfg.reqTimeout, Rec: copts.Rec})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		hs := &http.Server{Handler: srv}
-		go hs.Serve(ln) //nolint:errcheck
-		return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
-	}
-	hedgeURL, closeHedge, err := frontRouter(rHedge)
-	if err != nil {
-		return err
-	}
-	defer closeHedge()
-	failURL, closeFail, err := frontRouter(rFail)
-	if err != nil {
-		return err
-	}
-	defer closeFail()
-
-	// Pre-warm every key through the router: Warm fans out to every owner,
-	// so replicas are hot before the first hedge or failover needs them.
-	fmt.Printf("selftest: pre-warming %d keys across the fleet...\n", len(keys))
-	for _, key := range keys {
-		if _, err := rHedge.Warm(context.Background(), key); err != nil {
-			return fmt.Errorf("route: warm %s: %w", key, err)
-		}
-	}
-
-	// Phase 1: full fleet, hedging router.
-	fmt.Printf("selftest: phase 1 — %d requests, %d concurrent, fleet healthy, hedge delay %s\n",
-		len(items), cfg.concurrency, copts.HedgeDelay)
-	p1, err := serve.RunLoad(context.Background(), hedgeURL, items, serve.LoadOptions{
-		Concurrency: cfg.concurrency,
-		TraceSeed:   cfg.seed,
-	})
-	if err != nil {
-		return fmt.Errorf("route: phase-1 load: %w", err)
-	}
-
-	// Phase 2: same load through the failover router, and when a quarter
-	// of it has completed, SIGKILL the primary owner of the first key — no
-	// drain, no goodbye, the way real backends die.
-	victim := rFail.Owners(keys[0])[0]
-	var victimProc *backendProc
-	for _, p := range procs {
-		if p.url == victim {
-			victimProc = p
-		}
-	}
-	killAt := len(items) / 4
-	fmt.Printf("selftest: phase 2 — same load, hedging off, SIGKILL %s after %d requests\n", victim, killAt)
-	p2, err := serve.RunLoad(context.Background(), failURL, items, serve.LoadOptions{
-		Concurrency: cfg.concurrency,
-		TraceSeed:   cfg.seed + 1,
-		AtCount:     killAt,
-		OnCount: func() {
-			victimProc.cmd.Process.Kill()
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("route: phase-2 load: %w", err)
-	}
-	victimProc.cmd.Wait()
-
-	// The probe loops must notice the corpse: poll until both routers have
-	// ejected the victim (100ms probes, 2-strike threshold — well under a
-	// second).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ejected := true
-		for _, r := range []*cluster.Router{rHedge, rFail} {
-			st := r.Stats()
-			if st.Ejections < 1 {
-				ejected = false
-			}
-			for _, b := range st.Backends {
-				if b.URL == victim && b.Healthy {
-					ejected = false
-				}
-			}
-		}
-		if ejected {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("route: victim %s was never ejected: hedge=%+v fail=%+v",
-				victim, rHedge.Stats(), rFail.Stats())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Rebalance: every key the victim owned must now be served by its
-	// replica — same answer, no error, straight through the router.
-	rebalanced := 0
-	for _, key := range keys {
-		owned := false
-		for _, u := range rFail.Owners(key) {
-			if u == victim {
-				owned = true
-			}
-		}
-		if !owned {
-			continue
-		}
-		pr := probes[key]
-		ans, _, err := rFail.Predict(context.Background(), key, pr.in)
-		if err != nil {
-			return fmt.Errorf("route: post-ejection predict %s: %w", key, err)
-		}
-		if ans != pr.want {
-			return fmt.Errorf("route: post-ejection predict %s = %q, want %q", key, ans, pr.want)
-		}
-		rebalanced++
-	}
-
-	// Survivors must drain clean on SIGTERM: readiness flips, in-flight
-	// work finishes, exit status 0 — the graceful half of membership.
-	for _, p := range procs {
-		if p == victimProc {
-			continue
-		}
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return fmt.Errorf("route: SIGTERM %s: %w", p.url, err)
-		}
-	}
-	for _, p := range procs {
-		if p == victimProc {
-			continue
-		}
-		done := make(chan error, 1)
-		go func(p *backendProc) { done <- p.cmd.Wait() }(p)
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("route: backend %s did not drain clean: %v", p.url, err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("route: backend %s still running 15s after SIGTERM", p.url)
-		}
-	}
-
-	stHedge, stFail := rHedge.Stats(), rFail.Stats()
-	wall := p1.WallS + p2.WallS
-	report := &BenchClusterReport{
-		Requests:        p1.Requests + p2.Requests,
-		Non2xx:          p1.Non2xx + p2.Non2xx,
-		Mismatches:      p1.Mismatches + p2.Mismatches,
-		TraceEchoMisses: p1.TraceEchoMisses + p2.TraceEchoMisses,
-		WallS:           wall,
-		HealthyP50us:    p1.P50us,
-		HealthyP95us:    p1.P95us,
-		HealthyP99us:    p1.P99us,
-		HealthyRPS:      p1.RPS,
-		DegradedP50us:   p2.P50us,
-		DegradedP95us:   p2.P95us,
-		DegradedP99us:   p2.P99us,
-		DegradedRPS:     p2.RPS,
-	}
-	chaos := &BenchClusterChaos{
-		Hedges:          stHedge.Hedges,
-		Failovers:       stFail.Failovers,
-		Ejections:       stFail.Ejections,
-		Rejoins:         stFail.Rejoins,
-		KilledBackend:   victim,
-		KilledAtRequest: killAt,
-		RebalancedKeys:  rebalanced,
-	}
-	if stHedge.Requests > 0 {
-		chaos.HedgeRate = float64(stHedge.Hedges) / float64(stHedge.Requests)
-	}
-	// Per-backend load is the sum across both router replicas — the fleet
-	// served both phases.
-	fleet := make([]BenchClusterNode, 0, len(stHedge.Backends))
-	for i, b := range stHedge.Backends {
-		fb := stFail.Backends[i]
-		node := BenchClusterNode{
-			URL:      b.URL,
-			Requests: b.Requests + fb.Requests,
-			Failures: b.Failures + fb.Failures,
-			Healthy:  b.Healthy && fb.Healthy,
-		}
-		if wall > 0 {
-			node.QPS = float64(node.Requests) / wall
-		}
-		fleet = append(fleet, node)
-	}
-
-	fmt.Printf("selftest: healthy:  %d requests, %.0f req/s, p50 %.1fms p95 %.1fms p99 %.1fms, %d non-2xx\n",
-		p1.Requests, p1.RPS, p1.P50us/1e3, p1.P95us/1e3, p1.P99us/1e3, p1.Non2xx)
-	fmt.Printf("selftest: degraded: %d requests, %.0f req/s, p50 %.1fms p95 %.1fms p99 %.1fms, %d non-2xx\n",
-		p2.Requests, p2.RPS, p2.P50us/1e3, p2.P95us/1e3, p2.P99us/1e3, p2.Non2xx)
-	fmt.Printf("selftest: chaos: %d hedges (%.1f%% of %d hedged-phase requests), %d failovers, %d ejections, rebalanced %d keys off %s\n",
-		stHedge.Hedges, chaos.HedgeRate*100, stHedge.Requests, stFail.Failovers, stFail.Ejections, rebalanced, victim)
-	for _, n := range fleet {
-		fmt.Printf("selftest: backend %-28s requests=%d failures=%d qps=%.0f healthy=%v\n",
-			n.URL, n.Requests, n.Failures, n.QPS, n.Healthy)
-	}
-
-	if cfg.benchPath != "" {
-		doc := &BenchCluster{
-			SchemaVersion: 1,
-			GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-			Seed:          cfg.seed,
-			Scale:         cfg.scale,
-			Faults:        cfg.faults,
-			Backends:      cfg.backends,
-			Replication:   copts.Replication,
-			HedgeDelayS:   copts.HedgeDelay.Seconds(),
-			Keys:          keys,
-			Report:        report,
-			Chaos:         chaos,
-			Fleet:         fleet,
-		}
-		blob, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.benchPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.benchPath)
-	}
-
-	// Verdicts. A client of the routed tier must never see a failure or a
-	// divergent answer — not even while a backend is being murdered under
-	// it — and the fault machinery must have demonstrably fired.
-	if report.Mismatches > 0 {
-		return fmt.Errorf("route: %d routed answers diverged from the direct path (first: %s)",
-			report.Mismatches, firstError(p1, p2))
-	}
-	if report.Non2xx > 0 {
-		return fmt.Errorf("route: %d failed requests through the router (first: %s)",
-			report.Non2xx, firstError(p1, p2))
-	}
-	if report.TraceEchoMisses > 0 {
-		return fmt.Errorf("route: %d responses did not echo the client's traceparent", report.TraceEchoMisses)
-	}
-	if stHedge.Hedges == 0 {
-		return fmt.Errorf("route: no hedges fired (delay %s) — the hedging path went unexercised", copts.HedgeDelay)
-	}
-	if stFail.Failovers == 0 {
-		return fmt.Errorf("route: no failovers recorded despite a SIGKILLed backend")
-	}
-	if stFail.Ejections == 0 {
-		return fmt.Errorf("route: the killed backend was never ejected")
-	}
-	if rebalanced == 0 {
-		return fmt.Errorf("route: victim %s owned no keys — rebalance went unexercised", victim)
-	}
-	fmt.Println("selftest: PASS")
-	return nil
-}
-
-func firstError(reports ...*serve.LoadReport) string {
-	for _, r := range reports {
-		if r.FirstError != "" {
-			return r.FirstError
-		}
-	}
-	return "<none recorded>"
 }

@@ -1,4 +1,4 @@
-package serve
+package drill
 
 import (
 	"bytes"
@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
+	"repro/internal/serve"
 )
 
 // LoadItem is one request of a load run: the adapter key, the instance,
@@ -20,38 +22,25 @@ import (
 // the same seed — when non-empty, the generator asserts byte-identity.
 type LoadItem struct {
 	Key  string
-	In   WireInstance
+	In   serve.WireInstance
 	Want string
 }
 
 // LoadOptions configures RunLoad.
 type LoadOptions struct {
 	// Concurrency is the number of in-flight requests the generator keeps
-	// open (the ISSUE's acceptance floor is 64). Default 64.
+	// open (at least one, at most one per item).
 	Concurrency int
-	// Timeout bounds one HTTP request. Default 120s (a cold adapter pays
-	// for a full Transfer on its first predict).
-	Timeout time.Duration
 	// TraceSeed seeds the deterministic per-request trace IDs the generator
 	// sends as `traceparent` headers (item i gets the i-th ID of the stream,
 	// independent of worker scheduling). Zero seeds from the clock — IDs are
 	// still sent, just not reproducible across runs.
 	TraceSeed int64
 	// AtCount/OnCount inject a mid-load event: OnCount fires exactly once,
-	// as soon as AtCount requests have completed. The cluster selftest uses
-	// it to SIGKILL a backend while the remaining requests are in flight.
+	// as soon as AtCount requests have completed. The route drill uses it
+	// to kill a backend while the remaining requests are in flight.
 	AtCount int
 	OnCount func()
-}
-
-func (o LoadOptions) withDefaults() LoadOptions {
-	if o.Concurrency <= 0 {
-		o.Concurrency = 64
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 120 * time.Second
-	}
-	return o
 }
 
 // LoadReport summarizes one load run. Latencies are per-request
@@ -65,11 +54,9 @@ type LoadReport struct {
 	// TraceEchoMisses counts 2xx responses whose traceparent echo did not
 	// carry the trace ID the generator sent — i.e. propagation broke.
 	TraceEchoMisses int `json:"trace_echo_misses"`
-	// ErrorCodes tallies non-2xx responses by their envelope code;
 	// EnvelopeMisses counts non-2xx bodies that were NOT the versioned
 	// error envelope — any value above zero is an API-shape regression.
-	ErrorCodes     map[string]int `json:"error_codes,omitempty"`
-	EnvelopeMisses int            `json:"envelope_misses,omitempty"`
+	EnvelopeMisses int `json:"envelope_misses,omitempty"`
 	// SampleTrace is the trace ID of the slowest request of the run: the
 	// one to pull first with `knowtrans obs trace -trace-id`.
 	SampleTrace string  `json:"sample_trace,omitempty"`
@@ -90,15 +77,12 @@ type LoadReport struct {
 // Mismatches) and the first one is kept verbatim — so a chaos-mode run
 // reports degradation instead of dying on it.
 func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOptions) (*LoadReport, error) {
-	opts = opts.withDefaults()
 	if len(items) == 0 {
-		return nil, fmt.Errorf("serve: load run needs items")
+		return nil, fmt.Errorf("drill: load run needs items")
 	}
-	client := &http.Client{Timeout: opts.Timeout}
-	workers := opts.Concurrency
-	if workers > len(items) {
-		workers = len(items)
-	}
+	// A cold adapter pays for a full Transfer on its first predict.
+	client := &http.Client{Timeout: 120 * time.Second}
+	workers := min(max(opts.Concurrency, 1), len(items))
 	seed := opts.TraceSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -118,10 +102,9 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 
 		envMiss atomic.Int64
 
-		mu         sync.Mutex
-		latUs      = make([]float64, len(items))
-		firstErr   string
-		errorCodes map[string]int
+		mu       sync.Mutex
+		latUs    = make([]int64, len(items))
+		firstErr string
 	)
 	fail := func(msg string) {
 		mu.Lock()
@@ -133,7 +116,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 
 	doItem := func(i int) {
 		it := items[i]
-		body, _ := json.Marshal(PredictRequest{Adapter: it.Key, Instance: it.In})
+		body, _ := json.Marshal(serve.PredictRequest{Adapter: it.Key, Instance: it.In})
 		t0 := time.Now()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/predict", bytes.NewReader(body))
 		if err != nil {
@@ -145,7 +128,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		sent := traceFor(i)
 		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(sent))
 		resp, err := client.Do(req)
-		latUs[i] = float64(time.Since(t0).Microseconds())
+		latUs[i] = time.Since(t0).Microseconds()
 		if err != nil {
 			non2xx.Add(1)
 			fail(fmt.Sprintf("request %d (%s): %v", i, it.Key, err))
@@ -155,13 +138,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		resp.Body.Close()
 		if resp.StatusCode/100 != 2 {
 			non2xx.Add(1)
-			if eb, ok := ParseErrorEnvelope(payload); ok {
-				mu.Lock()
-				if errorCodes == nil {
-					errorCodes = map[string]int{}
-				}
-				errorCodes[eb.Code]++
-				mu.Unlock()
+			if eb, ok := serve.ParseErrorEnvelope(payload); ok {
 				fail(fmt.Sprintf("request %d (%s): HTTP %d [%s, retryable=%v]: %s",
 					i, it.Key, resp.StatusCode, eb.Code, eb.Retryable, eb.Message))
 			} else {
@@ -176,7 +153,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 			fail(fmt.Sprintf("request %d (%s): traceparent not echoed (sent trace %s, got %q)",
 				i, it.Key, sent.Trace, resp.Header.Get(obs.TraceparentHeader)))
 		}
-		var pr PredictResponse
+		var pr serve.PredictResponse
 		if err := json.Unmarshal(payload, &pr); err != nil {
 			non2xx.Add(1)
 			fail(fmt.Sprintf("request %d (%s): bad response body: %v", i, it.Key, err))
@@ -221,15 +198,8 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 			slowest = i
 		}
 	}
-	sorted := append([]float64(nil), latUs...)
-	sort.Float64s(sorted)
-	q := func(p float64) float64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
+	sorted := append([]int64(nil), latUs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return &LoadReport{
 		Requests:        len(items),
 		Non2xx:          int(non2xx.Load()),
@@ -237,15 +207,14 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		ColdHits:        int(cold.Load()),
 		Concurrency:     workers,
 		TraceEchoMisses: int(echoMiss.Load()),
-		ErrorCodes:      errorCodes,
 		EnvelopeMisses:  int(envMiss.Load()),
 		SampleTrace:     traceFor(slowest).Trace.String(),
 		WallS:           wall.Seconds(),
 		RPS:             float64(len(items)) / wall.Seconds(),
-		P50us:           q(0.50),
-		P95us:           q(0.95),
-		P99us:           q(0.99),
-		MaxUs:           sorted[len(sorted)-1],
+		P50us:           analyze.Quantile(sorted, 0.50),
+		P95us:           analyze.Quantile(sorted, 0.95),
+		P99us:           analyze.Quantile(sorted, 0.99),
+		MaxUs:           float64(sorted[len(sorted)-1]),
 		FirstError:      firstErr,
 	}, nil
 }

@@ -10,22 +10,22 @@ import (
 	"repro/internal/obs"
 )
 
-// --- Zoo.memo concurrency -----------------------------------------------------
+// --- memo concurrency ---------------------------------------------------------
 
 func TestMemoPanicDoesNotWedgeLaterCalls(t *testing.T) {
-	z := NewZoo(1, 0.5)
+	z := &memo[interface{}]{}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("builder panic must propagate to the memo caller")
 			}
 		}()
-		z.memo("k", func() interface{} { panic("boom") })
+		z.get("k", func() interface{} { panic("boom") })
 	}()
 	// The in-flight marker must have been cleared: a retry on another
 	// goroutine must run its builder instead of waiting forever.
 	done := make(chan interface{}, 1)
-	go func() { done <- z.memo("k", func() interface{} { return 42 }) }()
+	go func() { done <- z.get("k", func() interface{} { return 42 }) }()
 	select {
 	case v := <-done:
 		if v != 42 {
@@ -37,12 +37,12 @@ func TestMemoPanicDoesNotWedgeLaterCalls(t *testing.T) {
 }
 
 func TestMemoPanicWakesConcurrentWaiter(t *testing.T) {
-	z := NewZoo(1, 0.5)
+	z := &memo[interface{}]{}
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		z.memo("k", func() interface{} {
+		z.get("k", func() interface{} {
 			close(entered)
 			<-release
 			panic("boom")
@@ -50,7 +50,7 @@ func TestMemoPanicWakesConcurrentWaiter(t *testing.T) {
 	}()
 	<-entered
 	done := make(chan interface{}, 1)
-	go func() { done <- z.memo("k", func() interface{} { return "rebuilt" }) }()
+	go func() { done <- z.get("k", func() interface{} { return "rebuilt" }) }()
 	// Let the second goroutine reach the wait on the in-flight marker, then
 	// panic the first builder; the broadcast must wake the waiter, which
 	// retries the build itself.
@@ -67,14 +67,14 @@ func TestMemoPanicWakesConcurrentWaiter(t *testing.T) {
 }
 
 func TestMemoBuildsOnceUnderContention(t *testing.T) {
-	z := NewZoo(1, 0.5)
+	z := &memo[interface{}]{}
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v := z.memo("k", func() interface{} {
+			v := z.get("k", func() interface{} {
 				builds.Add(1)
 				time.Sleep(5 * time.Millisecond)
 				return "v"

@@ -104,10 +104,10 @@ type Zoo struct {
 	// the default — is the unwrapped, byte-identical production path.
 	Faults *faults.Config
 
-	mu       sync.Mutex
-	cond     sync.Cond // lazily bound to mu; broadcast when a build finishes
-	cache    map[string]interface{}
-	building map[string]bool // keys whose build is in flight
+	bundles   memo[[]*datagen.Bundle]
+	models    memo[*model.Model]
+	patches   memo[[]*skc.NamedSnapshot]
+	centroids memo[[]baselines.Centroid]
 }
 
 // NewZoo returns a Zoo generating datasets at the given scale of the
@@ -116,52 +116,56 @@ func NewZoo(seed int64, scale float64) *Zoo {
 	if scale <= 0 || scale > 1 {
 		panic("eval: scale must be in (0, 1]")
 	}
-	return &Zoo{Seed: seed, Scale: scale, cache: map[string]interface{}{}}
+	return &Zoo{Seed: seed, Scale: scale}
 }
 
-// memo caches build results by key. The lock is NOT held while build runs —
-// builders recursively request other artifacts (Upstream needs Base), and a
-// held mutex would self-deadlock. Duplicate concurrent builds are prevented
-// by a per-key building marker; waiters block on the condition variable
+// memo caches build results of one artifact type by key; the zero value
+// is ready to use. The lock is NOT held while build runs — builders
+// recursively request other artifacts (Upstream needs Base), and a held
+// mutex would self-deadlock. Duplicate concurrent builds are prevented by
+// a per-key building marker; waiters block on the condition variable
 // instead of sleep-polling and are woken by the broadcast every finished
 // build sends. The marker is cleared under defer so a builder that panics
-// releases the slot and wakes its waiters — one of them retries the build —
-// rather than leaking a marker nobody owns and wedging every later request
-// for the key.
-func (z *Zoo) memo(key string, build func() interface{}) interface{} {
-	z.mu.Lock()
-	if z.cond.L == nil {
-		z.cond.L = &z.mu
-	}
-	if z.cache == nil {
-		z.cache = map[string]interface{}{}
-	}
-	if z.building == nil {
-		z.building = map[string]bool{}
+// releases the slot and wakes its waiters — one of them retries the build
+// — rather than leaking a marker nobody owns and wedging every later
+// request for the key.
+type memo[T any] struct {
+	mu       sync.Mutex
+	cond     sync.Cond // lazily bound to mu; broadcast when a build finishes
+	cache    map[string]T
+	building map[string]bool // keys whose build is in flight
+}
+
+func (m *memo[T]) get(key string, build func() T) T {
+	m.mu.Lock()
+	if m.cond.L == nil {
+		m.cond.L = &m.mu
+		m.cache = map[string]T{}
+		m.building = map[string]bool{}
 	}
 	for {
-		if v, ok := z.cache[key]; ok {
-			z.mu.Unlock()
+		if v, ok := m.cache[key]; ok {
+			m.mu.Unlock()
 			return v
 		}
-		if !z.building[key] {
+		if !m.building[key] {
 			break
 		}
-		z.cond.Wait()
+		m.cond.Wait()
 	}
-	z.building[key] = true
-	z.mu.Unlock()
+	m.building[key] = true
+	m.mu.Unlock()
 
-	var v interface{}
+	var v T
 	built := false
 	defer func() {
-		z.mu.Lock()
-		delete(z.building, key)
+		m.mu.Lock()
+		delete(m.building, key)
 		if built {
-			z.cache[key] = v
+			m.cache[key] = v
 		}
-		z.cond.Broadcast()
-		z.mu.Unlock()
+		m.cond.Broadcast()
+		m.mu.Unlock()
 	}()
 	v = build()
 	built = true
@@ -170,9 +174,9 @@ func (z *Zoo) memo(key string, build func() interface{}) interface{} {
 
 // Downstream returns the 13 novel datasets of Table I.
 func (z *Zoo) Downstream() []*datagen.Bundle {
-	return z.memo("downstream", func() interface{} {
+	return z.bundles.get("downstream", func() []*datagen.Bundle {
 		return datagen.Downstream(z.Seed, z.Scale)
-	}).([]*datagen.Bundle)
+	})
 }
 
 // DownstreamByKey returns one downstream dataset, panicking on an unknown
@@ -211,20 +215,20 @@ func (z *Zoo) DownstreamKeys() []string {
 // samples), so it is generated at a floor scale even when the downstream
 // evaluation is shrunk.
 func (z *Zoo) UpstreamBundles() []*datagen.Bundle {
-	return z.memo("upstream", func() interface{} {
+	return z.bundles.get("upstream", func() []*datagen.Bundle {
 		scale := z.Scale
 		if scale < 0.3 {
 			scale = 0.3
 		}
 		return datagen.Upstream(z.Seed, scale)
-	}).([]*datagen.Bundle)
+	})
 }
 
 // Base returns the pretrained base model of a tier (the Mistral-7B /
 // Llama-3-8B / GPT analogue): general-corpus pretraining only, no DP
 // upstream SFT.
 func (z *Zoo) Base(size Size) *model.Model {
-	return z.memo("base/"+string(size), func() interface{} {
+	return z.models.get("base/"+string(size), func() *model.Model {
 		m := model.New(model.Config{
 			Name:   "base-" + string(size),
 			Hidden: size.hidden(),
@@ -255,7 +259,7 @@ func (z *Zoo) Base(size Size) *model.Model {
 		ps := m.Params()
 		model.Train(m, exs, model.TrainConfig{Epochs: 2, LR: 0.02, Clip: 5, Seed: z.Seed + 7}, &ps)
 		return m
-	}).(*model.Model)
+	})
 }
 
 // Upstream returns the upstream DP-LLM of a tier (the Jellyfish analogue):
@@ -263,7 +267,7 @@ func (z *Zoo) Base(size Size) *model.Model {
 // parameter space — the multi-task SFT whose gradient conflicts cause the
 // knowledge-distraction problem.
 func (z *Zoo) Upstream(size Size) *model.Model {
-	return z.memo("upstream-model/"+string(size), func() interface{} {
+	return z.models.get("upstream-model/"+string(size), func() *model.Model {
 		m := z.Base(size).Clone()
 		m.Cfg.Name = "jellyfish-" + string(size)
 		var exs []model.TrainExample
@@ -273,7 +277,7 @@ func (z *Zoo) Upstream(size Size) *model.Model {
 		ps := m.Params()
 		model.Train(m, exs, model.TrainConfig{Epochs: 3, LR: 0.015, Clip: 5, Seed: z.Seed + 13}, &ps)
 		return m
-	}).(*model.Model)
+	})
 }
 
 // rebalance caps the negative:positive ratio of binary upstream datasets at
@@ -309,7 +313,7 @@ func rebalance(b *datagen.Bundle, seed int64) []*data.Instance {
 // cross-model parameterization). Extraction happens once and is shared by
 // every downstream transfer, like the paper's patch library.
 func (z *Zoo) Patches(size Size) []*skc.NamedSnapshot {
-	return z.memo("patches/"+string(size), func() interface{} {
+	return z.patches.get("patches/"+string(size), func() []*skc.NamedSnapshot {
 		var sources []skc.Source
 		for _, b := range z.UpstreamBundles() {
 			sources = append(sources, skc.Source{
@@ -322,13 +326,13 @@ func (z *Zoo) Patches(size Size) []*skc.NamedSnapshot {
 			Seed:  z.Seed + 29,
 			Rec:   z.Rec,
 		})
-	}).([]*skc.NamedSnapshot)
+	})
 }
 
 // Centroids returns the per-upstream-dataset record centroids MELD's
 // instance-level gate routes with, aligned with Patches order.
 func (z *Zoo) Centroids(size Size) []baselines.Centroid {
-	return z.memo("centroids/"+string(size), func() interface{} {
+	return z.centroids.get("centroids/"+string(size), func() []baselines.Centroid {
 		m := z.Base(size)
 		var cents []baselines.Centroid
 		for _, b := range z.UpstreamBundles() {
@@ -339,5 +343,5 @@ func (z *Zoo) Centroids(size Size) []baselines.Centroid {
 			cents = append(cents, baselines.CentroidOf(m, b.Key(), ins))
 		}
 		return cents
-	}).([]baselines.Centroid)
+	})
 }

@@ -224,8 +224,8 @@ func (t *Trace) Aggregate() []NameStat {
 	for name, s := range byName {
 		ds := durs[name]
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		s.P50US = quantile(ds, 0.50)
-		s.P95US = quantile(ds, 0.95)
+		s.P50US = Quantile(ds, 0.50)
+		s.P95US = Quantile(ds, 0.95)
 		out = append(out, *s)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -237,9 +237,9 @@ func (t *Trace) Aggregate() []NameStat {
 	return out
 }
 
-// quantile returns the q-quantile of sorted durations by linear
-// interpolation between order statistics.
-func quantile(sorted []int64, q float64) float64 {
+// Quantile is the exact-sample quantile: the q-quantile of sorted
+// values by linear interpolation between order statistics.
+func Quantile(sorted []int64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0

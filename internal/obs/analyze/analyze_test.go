@@ -133,16 +133,16 @@ func TestSlowest(t *testing.T) {
 
 func TestQuantileInterpolation(t *testing.T) {
 	ds := []int64{100, 200, 300, 400}
-	if q := quantile(ds, 0.5); q != 250 {
+	if q := Quantile(ds, 0.5); q != 250 {
 		t.Errorf("p50 = %g, want 250", q)
 	}
-	if q := quantile(ds, 0); q != 100 {
+	if q := Quantile(ds, 0); q != 100 {
 		t.Errorf("p0 = %g, want 100", q)
 	}
-	if q := quantile(ds, 1); q != 400 {
+	if q := Quantile(ds, 1); q != 400 {
 		t.Errorf("p100 = %g, want 400", q)
 	}
-	if q := quantile(nil, 0.5); q != 0 {
+	if q := Quantile(nil, 0.5); q != 0 {
 		t.Errorf("empty = %g, want 0", q)
 	}
 }

@@ -1,7 +1,9 @@
 package analyze
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -36,68 +38,258 @@ type BenchRun struct {
 	TotalSeconds  float64           `json:"total_wall_seconds"`
 }
 
-// LoadBenchRun reads one BENCH_run.json document. A BENCH_serve.json
-// document (recognized by the absence of experiments and the presence of
-// a report section) is accepted too: its numeric report and resources
-// fields are flattened into a synthetic one-experiment run, so `obs diff`
-// gates serving latency and allocation cost with the same machinery as
-// experiment metrics.
-func LoadBenchRun(path string) (*BenchRun, error) {
+// Kind says how `obs diff` scores a drill metric.
+type Kind string
+
+const (
+	// KindInvariant is a correctness verdict with an exact expected value
+	// (Want): a 0/1 check, or a count such as non_2xx = 0 or requests = N.
+	// It is compared exactly at any tolerance.
+	KindInvariant Kind = "invariant"
+	// KindPerf is a performance number, compared within the relative
+	// tolerance in its declared direction.
+	KindPerf Kind = "perf"
+	// KindContext is run-dependent evidence (hedge counts, shards
+	// committed before a kill): recorded, never scored.
+	KindContext Kind = "context"
+)
+
+// Better is a metric's improvement direction. The empty direction is
+// undeclared: any change beyond tolerance is a regression.
+type Better string
+
+const (
+	BetterLower  Better = "lower"
+	BetterHigher Better = "higher"
+)
+
+// Metric is one self-describing number of a bench document.
+type Metric struct {
+	Name   string   `json:"name"`
+	Value  float64  `json:"value"`
+	Want   *float64 `json:"want,omitempty"` // invariants only
+	Unit   string   `json:"unit,omitempty"`
+	Better Better   `json:"better,omitempty"`
+	Kind   Kind     `json:"kind"`
+}
+
+// Env records the machine and build a report was measured on, so a
+// trajectory only compares like with like.
+type Env struct {
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+	Revision   string `json:"revision"`
+}
+
+// DrillSchemaVersion is the version of the DrillReport document.
+const DrillSchemaVersion = 1
+
+// DrillReport is the self-describing bench document of one drill
+// (BENCH_serve.json, BENCH_cluster.json, BENCH_jobs.json) or benchmark
+// ledger (BENCH_allocs.json): the environment, the configuration asked
+// for, string evidence, and metrics that each declare unit, direction and
+// kind. WallS is informational unless `obs diff -wall-tol` gates it.
+type DrillReport struct {
+	SchemaVersion int               `json:"schema_version"`
+	Drill         string            `json:"drill"`
+	GeneratedAt   string            `json:"generated_at,omitempty"`
+	Env           Env               `json:"env"`
+	WallS         float64           `json:"wall_s,omitempty"`
+	Config        map[string]string `json:"config,omitempty"`
+	Notes         map[string]string `json:"notes,omitempty"`
+	Metrics       []Metric          `json:"metrics"`
+}
+
+// Invariant appends a metric whose value must equal want exactly.
+func (r *DrillReport) Invariant(name string, value, want float64, unit string) {
+	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value, Want: &want, Unit: unit, Kind: KindInvariant})
+}
+
+// Perf appends a performance metric compared in direction better.
+func (r *DrillReport) Perf(name string, value float64, unit string, better Better) {
+	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value, Unit: unit, Better: better, Kind: KindPerf})
+}
+
+// Context appends unscored evidence.
+func (r *DrillReport) Context(name string, value float64, unit string) {
+	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value, Unit: unit, Kind: KindContext})
+}
+
+// Check fails on every invariant whose value is not its Want.
+func (r *DrillReport) Check() error {
+	var broken []string
+	for _, m := range r.Metrics {
+		if m.Kind == KindInvariant && m.Want != nil && m.Value != *m.Want {
+			broken = append(broken, fmt.Sprintf("%s = %g, want %g", m.Name, m.Value, *m.Want))
+		}
+	}
+	if len(broken) == 0 {
+		return nil
+	}
+	msg := fmt.Sprintf("%s drill: broken invariants: %s", r.Drill, strings.Join(broken, "; "))
+	if first := r.Notes["first_error"]; first != "" {
+		msg += " (first error: " + first + ")"
+	}
+	return errors.New(msg)
+}
+
+// validate enforces the schema: a known version, a drill name, and
+// uniquely named metrics of a known kind and direction, where exactly the
+// invariants carry a Want and every number is finite.
+func (r *DrillReport) validate() error {
+	if r.SchemaVersion != DrillSchemaVersion {
+		return fmt.Errorf("drill report: schema_version %d, want %d", r.SchemaVersion, DrillSchemaVersion)
+	}
+	if r.Drill == "" {
+		return errors.New("drill report: no drill name")
+	}
+	if !finite(r.WallS) {
+		return errors.New("drill report: wall_s is not finite")
+	}
+	seen := make(map[string]bool, len(r.Metrics))
+	for _, m := range r.Metrics {
+		switch {
+		case m.Name == "" || seen[m.Name]:
+			return fmt.Errorf("drill report: empty or duplicate metric name %q", m.Name)
+		case m.Kind != KindInvariant && m.Kind != KindPerf && m.Kind != KindContext:
+			return fmt.Errorf("drill report: metric %s has unknown kind %q", m.Name, m.Kind)
+		case m.Better != "" && m.Better != BetterLower && m.Better != BetterHigher:
+			return fmt.Errorf("drill report: metric %s has unknown better %q", m.Name, m.Better)
+		case (m.Kind == KindInvariant) != (m.Want != nil):
+			return fmt.Errorf("drill report: metric %s: want is required on invariants and only there", m.Name)
+		case !finite(m.Value) || (m.Want != nil && !finite(*m.Want)):
+			return fmt.Errorf("drill report: metric %s is not finite", m.Name)
+		}
+		seen[m.Name] = true
+	}
+	return nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// ReadDrillReport decodes and validates one drill report; unknown fields,
+// kinds and directions are errors. Empty maps and lists decode as nil, so
+// a read → Encode → read round trip is a fixed point.
+func ReadDrillReport(blob []byte) (*DrillReport, error) {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	var r DrillReport
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("drill report: %w", err)
+	}
+	if len(r.Config) == 0 {
+		r.Config = nil
+	}
+	if len(r.Notes) == 0 {
+		r.Notes = nil
+	}
+	if len(r.Metrics) == 0 {
+		r.Metrics = nil
+	}
+	if err := r.validate(); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// Encode writes the report as indented JSON with one metric per line, so
+// a diff of two documents reads metric by metric.
+func (r *DrillReport) Encode(w io.Writer) error {
+	if err := r.validate(); err != nil {
+		return err
+	}
+	head := *r
+	head.Metrics = nil
+	hb, err := json.MarshalIndent(head, "", "  ")
+	if err != nil {
+		return err
+	}
+	var b bytes.Buffer
+	b.Write(bytes.TrimSuffix(hb, []byte("null\n}")))
+	b.WriteString("[\n")
+	for i, m := range r.Metrics {
+		mb, err := json.Marshal(m)
+		if err != nil {
+			return err
+		}
+		b.WriteString("    ")
+		b.Write(mb)
+		if i < len(r.Metrics)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("  ]\n}\n")
+	_, err = w.Write(b.Bytes())
+	return err
+}
+
+// WriteFile encodes the report to path.
+func (r *DrillReport) WriteFile(path string) error {
+	var b bytes.Buffer
+	if err := r.Encode(&b); err != nil {
+		return err
+	}
+	return os.WriteFile(path, b.Bytes(), 0o644)
+}
+
+// Section is one comparable unit of a bench document: an experiment of a
+// BENCH_run.json, or a whole drill report.
+type Section struct {
+	ID          string
+	WallSeconds float64
+	Metrics     []Metric
+}
+
+// Sections flattens the run: each experiment column becomes a perf metric
+// of undeclared direction.
+func (run *BenchRun) Sections() []Section {
+	out := make([]Section, 0, len(run.Experiments))
+	for _, e := range run.Experiments {
+		names := make([]string, 0, len(e.Metrics))
+		for n := range e.Metrics {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		sec := Section{ID: e.ID, WallSeconds: e.WallSeconds}
+		for _, n := range names {
+			sec.Metrics = append(sec.Metrics, Metric{Name: n, Value: e.Metrics[n], Kind: KindPerf})
+		}
+		out = append(out, sec)
+	}
+	return out
+}
+
+// LoadBench reads a BENCH_run.json experiment record or a drill report
+// (recognized by its "drill" field) into comparable sections.
+func LoadBench(path string) ([]Section, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}
-	var run BenchRun
-	if err := json.Unmarshal(blob, &run); err != nil {
+	var probe struct {
+		Drill       *string         `json:"drill"`
+		Experiments json.RawMessage `json:"experiments"`
+	}
+	if err := json.Unmarshal(blob, &probe); err != nil {
 		return nil, fmt.Errorf("analyze: %s: %w", path, err)
 	}
-	if len(run.Experiments) == 0 {
-		if srun, ok := benchRunFromServeDoc(blob); ok {
-			srun.SchemaVersion = run.SchemaVersion
-			srun.GeneratedAt = run.GeneratedAt
-			return srun, nil
+	switch {
+	case probe.Drill != nil:
+		r, err := ReadDrillReport(blob)
+		if err != nil {
+			return nil, fmt.Errorf("analyze: %s: %w", path, err)
 		}
-	}
-	return &run, nil
-}
-
-// benchRunFromServeDoc flattens a BENCH_serve.json document into a
-// synthetic one-experiment BenchRun. Numeric leaves of "report" and
-// "resources" become metrics under the experiment id "serve"; wall time
-// maps onto WallSeconds so it stays informational unless -wall-tol gates
-// it. Non-numeric fields (sample trace IDs, timestamps) are skipped.
-func benchRunFromServeDoc(blob []byte) (*BenchRun, bool) {
-	var doc struct {
-		Report    map[string]any `json:"report"`
-		Resources map[string]any `json:"resources"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil || doc.Report == nil {
-		return nil, false
-	}
-	exp := BenchExperiment{ID: "serve", Title: "serve selftest", Metrics: map[string]float64{}}
-	flatten := func(prefix string, m map[string]any) {
-		for k, v := range m {
-			f, ok := v.(float64)
-			if !ok {
-				continue
-			}
-			if prefix == "" && k == "wall_s" {
-				exp.WallSeconds = f
-				continue
-			}
-			name := k
-			if prefix != "" {
-				name = prefix + "." + k
-			}
-			exp.Metrics[name] = f
+		return []Section{{ID: r.Drill, WallSeconds: r.WallS, Metrics: r.Metrics}}, nil
+	case probe.Experiments != nil:
+		var run BenchRun
+		if err := json.Unmarshal(blob, &run); err != nil {
+			return nil, fmt.Errorf("analyze: %s: %w", path, err)
 		}
+		return run.Sections(), nil
 	}
-	flatten("", doc.Report)
-	flatten("resources", doc.Resources)
-	if len(exp.Metrics) == 0 {
-		return nil, false
-	}
-	return &BenchRun{Experiments: []BenchExperiment{exp}, TotalSeconds: exp.WallSeconds}, true
+	return nil, fmt.Errorf("analyze: %s is neither a drill report nor an experiment record", path)
 }
 
 // DeltaClass classifies one metric comparison.
@@ -135,36 +327,6 @@ type DiffOptions struct {
 	// metrics present on one side only) to regressions, turning the diff
 	// into an any-change gate.
 	Strict bool
-	// LowerIsBetter marks metric-name substrings (case-insensitive) whose
-	// direction is inverted: a decrease is an improvement. Defaults to
-	// cost/latency/seconds/time/_us when nil.
-	LowerIsBetter []string
-}
-
-// DefaultLowerIsBetter are the metric-name substrings treated as
-// lower-is-better by default: the cost and latency columns of Table III,
-// plus the serve-doc failure counters and resource costs (allocations,
-// GC work, goroutines, heap) the perf sentinel gates, and the jobs-doc
-// loss counters (row failures, duplicated transfers).
-var DefaultLowerIsBetter = []string{
-	"cost", "latency", "seconds", "time", "_us", "price", "token",
-	"alloc", "bytes", "gc_", "goroutine", "heap",
-	"non_2xx", "mismatch", "miss", "shed", "cold",
-	"fail", "duplicate",
-}
-
-func (o DiffOptions) lowerIsBetter(metric string) bool {
-	subs := o.LowerIsBetter
-	if subs == nil {
-		subs = DefaultLowerIsBetter
-	}
-	m := strings.ToLower(metric)
-	for _, s := range subs {
-		if strings.Contains(m, strings.ToLower(s)) {
-			return true
-		}
-	}
-	return false
 }
 
 // BenchDiff is the outcome of comparing two bench documents.
@@ -181,15 +343,16 @@ type BenchDiff struct {
 // HasRegressions reports whether the diff should fail a gate.
 func (d *BenchDiff) HasRegressions() bool { return d.Regressions > 0 }
 
-// DiffBenchRuns compares two bench documents metric-by-metric. Experiments
-// are matched by id; within an experiment, metrics by column name. The
-// regression direction respects DiffOptions.LowerIsBetter.
-func DiffBenchRuns(a, b *BenchRun, opt DiffOptions) *BenchDiff {
+// DiffBench compares two loaded bench documents metric by metric.
+// Sections are matched by id, metrics by name, and each is scored by the
+// baseline's (A's) declaration: invariants exactly, perf metrics within
+// RelTol in their direction, context metrics not at all.
+func DiffBench(a, b []Section, opt DiffOptions) *BenchDiff {
 	d := &BenchDiff{}
-	byID := func(run *BenchRun) map[string]BenchExperiment {
-		m := make(map[string]BenchExperiment, len(run.Experiments))
-		for _, e := range run.Experiments {
-			m[e.ID] = e
+	byID := func(secs []Section) map[string]Section {
+		m := make(map[string]Section, len(secs))
+		for _, s := range secs {
+			m[s.ID] = s
 		}
 		return m
 	}
@@ -206,8 +369,8 @@ func DiffBenchRuns(a, b *BenchRun, opt DiffOptions) *BenchDiff {
 	sort.Strings(ids)
 
 	for _, id := range ids {
-		ae, aok := am[id]
-		be, bok := bm[id]
+		as, aok := am[id]
+		bs, bok := bm[id]
 		switch {
 		case !bok:
 			d.addStructural(opt, MetricDelta{Experiment: id, Metric: "*", Class: DeltaOnlyInA})
@@ -216,28 +379,46 @@ func DiffBenchRuns(a, b *BenchRun, opt DiffOptions) *BenchDiff {
 			d.addStructural(opt, MetricDelta{Experiment: id, Metric: "*", Class: DeltaOnlyInB})
 			continue
 		}
-		names := make([]string, 0, len(ae.Metrics)+len(be.Metrics))
-		for n := range ae.Metrics {
+		byName := func(ms []Metric) map[string]Metric {
+			out := make(map[string]Metric, len(ms))
+			for _, m := range ms {
+				if m.Kind != KindContext {
+					out[m.Name] = m
+				}
+			}
+			return out
+		}
+		amet, bmet := byName(as.Metrics), byName(bs.Metrics)
+		names := make([]string, 0, len(amet)+len(bmet))
+		for n := range amet {
 			names = append(names, n)
 		}
-		for n := range be.Metrics {
-			if _, ok := ae.Metrics[n]; !ok {
+		for n := range bmet {
+			if _, ok := amet[n]; !ok {
 				names = append(names, n)
 			}
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			av, aok := ae.Metrics[n]
-			bv, bok := be.Metrics[n]
+			am, aok := amet[n]
+			bm, bok := bmet[n]
 			switch {
 			case !bok:
-				d.addStructural(opt, MetricDelta{Experiment: id, Metric: n, A: av, Class: DeltaOnlyInA})
+				d.addStructural(opt, MetricDelta{Experiment: id, Metric: n, A: am.Value, Class: DeltaOnlyInA})
 				continue
 			case !aok:
-				d.addStructural(opt, MetricDelta{Experiment: id, Metric: n, B: bv, Class: DeltaOnlyInB})
+				d.addStructural(opt, MetricDelta{Experiment: id, Metric: n, B: bm.Value, Class: DeltaOnlyInB})
 				continue
 			}
-			md := classify(id, n, av, bv, opt.RelTol, opt.lowerIsBetter(n))
+			var md MetricDelta
+			if am.Kind == KindInvariant {
+				md = classify(id, n, am.Value, bm.Value, 0, "")
+				if bm.Want != nil && bm.Value != *bm.Want {
+					md.Class = DeltaRegressed
+				}
+			} else {
+				md = classify(id, n, am.Value, bm.Value, opt.RelTol, am.Better)
+			}
 			if opt.Strict && md.Class == DeltaImproved {
 				md.Class = DeltaRegressed
 			}
@@ -252,7 +433,7 @@ func DiffBenchRuns(a, b *BenchRun, opt DiffOptions) *BenchDiff {
 			d.Deltas = append(d.Deltas, md)
 		}
 		// Wall time: informational, gated only by WallTol.
-		wd := classify(id, "wall_seconds", ae.WallSeconds, be.WallSeconds, opt.WallTol, true)
+		wd := classify(id, "wall_seconds", as.WallSeconds, bs.WallSeconds, opt.WallTol, BetterLower)
 		if opt.WallTol <= 0 {
 			if wd.Class == DeltaRegressed || wd.Class == DeltaImproved {
 				wd.Class = DeltaUnchanged
@@ -275,7 +456,10 @@ func (d *BenchDiff) addStructural(opt DiffOptions, md MetricDelta) {
 	d.Deltas = append(d.Deltas, md)
 }
 
-func classify(exp, metric string, a, b, tol float64, lowerBetter bool) MetricDelta {
+// classify scores one change: within tol it is unchanged, otherwise it
+// improves or regresses by direction, and an undeclared direction makes
+// any change a regression.
+func classify(exp, metric string, a, b, tol float64, better Better) MetricDelta {
 	md := MetricDelta{Experiment: exp, Metric: metric, A: a, B: b}
 	den := math.Abs(a)
 	if den < 1e-12 {
@@ -285,7 +469,7 @@ func classify(exp, metric string, a, b, tol float64, lowerBetter bool) MetricDel
 	switch {
 	case math.Abs(md.Rel) <= tol || a == b:
 		md.Class = DeltaUnchanged
-	case (md.Rel < 0) == lowerBetter:
+	case better != "" && (md.Rel < 0) == (better == BetterLower):
 		md.Class = DeltaImproved
 	default:
 		md.Class = DeltaRegressed

@@ -89,43 +89,20 @@ func BuildTop(prev, cur obs.RegistrySnapshot) TopStats {
 }
 
 // bucketQuantile estimates a quantile from per-bucket counts over upper
-// bounds le (one overflow bucket at the end), interpolating linearly within
-// the crossing bucket.
+// bounds le (one overflow bucket at the end, clamped at the last bound)
+// through the shared obs.BucketQuantile interpolation.
 func bucketQuantile(le []float64, counts []int64, total int64, q float64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		n := float64(c)
-		if n == 0 {
-			continue
+	span := func(i int) (lo, hi float64) {
+		if i > 0 {
+			lo = le[i-1]
 		}
-		if cum+n >= rank {
-			var lo, hi float64
-			if i == 0 {
-				lo = 0
-			} else {
-				lo = le[i-1]
-			}
-			if i < len(le) {
-				hi = le[i]
-			} else {
-				hi = le[len(le)-1] // overflow: clamp at the last bound
-				lo = hi
-			}
-			frac := (rank - cum) / n
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(hi-lo)
+		if i < len(le) {
+			return lo, le[i]
 		}
-		cum += n
+		return le[len(le)-1], le[len(le)-1]
 	}
-	return 0
+	v, _ := obs.BucketQuantile(len(counts), func(i int) int64 { return counts[i] }, total, q, span)
+	return v
 }
 
 // WriteText renders one refresh as the compact live view.

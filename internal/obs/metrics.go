@@ -133,30 +133,43 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // Quantile estimates the q-quantile (q in [0,1]) from the buckets. It
 // returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
+	count := func(i int) int64 { return h.counts[i].Load() }
+	if v, ok := BucketQuantile(len(h.counts), count, h.count.Load(), q, h.bucketRange); ok {
+		return v
+	}
+	return math.Float64frombits(h.max.Load())
+}
+
+// BucketQuantile is the one bucket-interpolation quantile estimator: it
+// walks n buckets holding count(i) observations each, finds the bucket
+// that crosses rank q*total, and interpolates linearly within the value
+// range span(i) of that bucket. It returns (0, true) for total <= 0 and
+// ok=false when the counts sum short of the rank, leaving the fallback
+// to the caller.
+func BucketQuantile(n int, count func(i int) int64, total int64, q float64, span func(i int) (lo, hi float64)) (v float64, ok bool) {
+	if total <= 0 {
+		return 0, true
 	}
 	rank := q * float64(total)
 	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
+	for i := 0; i < n; i++ {
+		c := float64(count(i))
+		if c == 0 {
 			continue
 		}
-		if cum+n >= rank {
-			lo, hi := h.bucketRange(i)
-			frac := (rank - cum) / n
+		if cum+c >= rank {
+			lo, hi := span(i)
+			frac := (rank - cum) / c
 			if frac < 0 {
 				frac = 0
 			} else if frac > 1 {
 				frac = 1
 			}
-			return lo + frac*(hi-lo)
+			return lo + frac*(hi-lo), true
 		}
-		cum += n
+		cum += c
 	}
-	return math.Float64frombits(h.max.Load())
+	return 0, false
 }
 
 // bucketRange returns the [lo, hi] value range of bucket i, clamped to the

@@ -1,6 +1,9 @@
 package obs
 
-import "time"
+import (
+	"runtime/debug"
+	"time"
+)
 
 // Recorder bundles a metrics registry and a tracer and is what the
 // pipeline threads through model → skc/akb → core → eval. Every method is
@@ -140,4 +143,31 @@ func (r *Recorder) ObserveSince(name string, start time.Time) {
 		return
 	}
 	r.Metrics.Histogram(name, DefaultLatencyBounds).Observe(float64(time.Since(start).Microseconds()))
+}
+
+// Revision extracts the VCS revision stamped into the binary at build
+// time (empty for `go test` binaries and builds outside a checkout).
+func Revision() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	var rev, dirty string
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	if rev == "" {
+		return ""
+	}
+	if len(rev) > 12 {
+		rev = rev[:12]
+	}
+	return rev + dirty
 }

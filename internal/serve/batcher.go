@@ -276,6 +276,9 @@ func (b *batcher) serve(batch []*predictReq) {
 	span.SetAttr("key", b.key)
 	span.SetAttr("size", len(batch))
 	start := time.Now()
+	// Counted before any member is answered, so a reader who has seen every
+	// response also sees serve.batches >= serve.batched_predicts.
+	b.rec.Count("serve.batches", 1)
 	b.rec.Observe("serve.batch_size", float64(len(batch)), sizeBounds)
 	batchLabel := strconv.Itoa(len(batch))
 	live := b.live[:0]
@@ -335,7 +338,6 @@ func (b *batcher) serve(batch []*predictReq) {
 		ps.End()
 		r.resp <- predictResp{ans: ans}
 	}
-	b.rec.Count("serve.batches", 1)
 	b.rec.Observe("serve.batch_us", float64(time.Since(start).Microseconds()), nil)
 	span.End()
 }

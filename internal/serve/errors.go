@@ -113,8 +113,8 @@ func WriteErrorStatus(w http.ResponseWriter, status int, msg string) {
 }
 
 // ParseErrorEnvelope decodes an error payload if it is the versioned
-// envelope. Callers (RunLoad, the cluster router) use it to surface the
-// code and message instead of a raw byte dump.
+// envelope. Callers (the drill load generator, the cluster router) use it
+// to surface the code and message instead of a raw byte dump.
 func ParseErrorEnvelope(payload []byte) (ErrorBody, bool) {
 	var env ErrorEnvelope
 	if err := json.Unmarshal(payload, &env); err != nil || env.Error.Code == "" {

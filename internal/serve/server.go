@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -58,7 +57,7 @@ func NewServer(res Resolver, opts Options) *Server {
 		rec:      opts.Rec,
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
-		revision: vcsRevision(),
+		revision: obs.Revision(),
 	}
 	s.mux.HandleFunc("/v1/predict", s.handlePredict)
 	s.mux.HandleFunc("/v1/adapters", s.handleAdapters)
@@ -228,33 +227,6 @@ type ReadyResponse struct {
 	Draining bool   `json:"draining,omitempty"`
 	Reason   string `json:"reason,omitempty"`
 	Resident int    `json:"resident"`
-}
-
-// vcsRevision extracts the VCS revision stamped into the binary at build
-// time (empty for `go test` binaries and builds outside a checkout).
-func vcsRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev, dirty string
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			if s.Value == "true" {
-				dirty = "+dirty"
-			}
-		}
-	}
-	if rev == "" {
-		return ""
-	}
-	if len(rev) > 12 {
-		rev = rev[:12]
-	}
-	return rev + dirty
 }
 
 // requestCtx applies the server's per-request deadline on top of the

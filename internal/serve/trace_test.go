@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -56,23 +55,44 @@ func TestConcurrentTracing(t *testing.T) {
 	srv := httptest.NewServer(NewServer(reg, opts))
 	defer srv.Close()
 
+	// 64 concurrent predicts, request i under the i-th trace of a seed-7
+	// ID stream, each checked for its answer and its traceparent echo.
 	keys := []string{"EM/A", "EM/B", "ED/C", "ED/D"}
-	var items []LoadItem
-	for i := 0; i < 64; i++ {
-		key := keys[i%len(keys)]
-		id := fmt.Sprint(i)
-		items = append(items, LoadItem{
-			Key:  key,
-			In:   WireInstance{ID: id, Candidates: []string{"yes", "no"}},
-			Want: key + ":" + id,
-		})
+	items := make([]PredictRequest, 64)
+	ids := obs.NewIDSource(7)
+	var wg sync.WaitGroup
+	for i := range items {
+		key, id := keys[i%len(keys)], fmt.Sprint(i)
+		items[i] = PredictRequest{Adapter: key, Instance: WireInstance{ID: id, Candidates: []string{"yes", "no"}}}
+		sent := obs.SpanContext{Trace: ids.At(uint64(i + 1)), Span: ids.SpanIDAt(uint64(i + 1))}
+		wg.Add(1)
+		go func(req PredictRequest) {
+			defer wg.Done()
+			body, _ := json.Marshal(req)
+			hreq, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/predict", bytes.NewReader(body))
+			hreq.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(sent))
+			resp, err := srv.Client().Do(hreq)
+			if err != nil {
+				t.Errorf("predict %s: %v", req.Instance.ID, err)
+				return
+			}
+			defer resp.Body.Close()
+			var pr PredictResponse
+			if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("predict %s: status %d, err %v", req.Instance.ID, resp.StatusCode, err)
+				return
+			}
+			if want := req.Adapter + ":" + req.Instance.ID; pr.Answer != want {
+				t.Errorf("predict %s = %q, want %q", req.Instance.ID, pr.Answer, want)
+			}
+			if echo, err := obs.ParseTraceparent(resp.Header.Get(obs.TraceparentHeader)); err != nil || echo.Trace != sent.Trace {
+				t.Errorf("predict %s: traceparent not echoed", req.Instance.ID)
+			}
+		}(items[i])
 	}
-	rep, err := RunLoad(context.Background(), srv.URL, items, LoadOptions{Concurrency: 64, TraceSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Non2xx != 0 || rep.Mismatches != 0 || rep.TraceEchoMisses != 0 {
-		t.Fatalf("load report = %+v (first error: %s)", rep, rep.FirstError)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 	srv.Close() // drain handlers so every request span and log line has flushed
 
@@ -108,7 +128,6 @@ func TestConcurrentTracing(t *testing.T) {
 	// non-empty trace ID, and the set of trace IDs matches what the load
 	// generator sent.
 	sentTraces := map[string]bool{}
-	ids := obs.NewIDSource(7)
 	for i := range items {
 		sentTraces[ids.At(uint64(i+1)).String()] = true
 	}

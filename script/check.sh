@@ -1,56 +1,20 @@
 #!/bin/sh
-# Tier-1 gate: formatting, vet, build, and the race-sensitive test
-# packages (the obs registry/tracer/analyzer, the concurrent AKB loop, and
-# the parallel experiment harness in eval).
-# Tier-2 gate: run a tiny seeded experiment serially twice and once with
-# four workers, and require `knowtrans obs diff -strict` to report zero
-# regressions across all three (the determinism gate), byte-identical
-# rendered tables between the serial and parallel runs, and the trace
-# analyzer's self-time accounting to cover the root span. A chaos gate then
-# re-runs the experiment through the fault-injection chain: at rate 0 the
-# tables must stay byte-identical to the unwrapped run, and at a 30% seeded
-# fault rate the run must complete exit 0 with injection metrics recorded.
-# Finally a serve gate runs `knowtrans serve -selftest` with tracing and
-# the access log armed: a 64-concurrent seeded load over 4 adapters through
-# the real HTTP path must return zero non-2xx, echo every client
-# traceparent, answer byte-identically to the direct Adapted.Predict path,
-# coalesce every adapter's cold start to exactly one Transfer, and record
-# the run in BENCH_serve.json. The telemetry it leaves behind is then
-# audited: every 2xx predict produced exactly one access-log line carrying
-# a trace ID, every serve.batch span links at least one request span, and
-# `obs trace -trace-id` reconstructs the slowest request's end-to-end path.
-# `obs trace` on a missing file must exit 2 with usage, not panic or pass.
-# A profiling gate then audits the resource telemetry the same selftest
-# left behind (it runs under -sample with a whole-run -cpuprofile): the
-# runtime timeline must summarize cleanly under `obs prof -gate` (no
-# goroutine leak, no unbounded heap growth), self-diff to zero regressions,
-# and fail (exit 1) against a doctored timeline with inflated goroutine and
-# heap readings — the perf-regression sentinel. The CPU profile must be
-# valid pprof, BENCH_serve.json (schema 4) must carry the resources
-# section, and `obs diff` must accept serve docs: clean on self, exit 1
-# when bytes/op is doctored 10x.
-# A batching gate then sweeps the batched forward's configurations: pinned
-# -serial-predict, -max-batch 1 (degenerate single-request batches), and a
-# 30% seeded fault rate must all pass the selftest (answer mismatches are
-# fatal inside it at any fault rate), and a warm batched run must allocate
-# strictly fewer bytes per request than the warm serial oracle. Finally an
-# allocation gate runs the ServePredict benchmark pair, requires the
-# batched forward to be >= 2x faster than the serial loop, and diffs the
-# measured ns/bytes/allocs per op against the committed BENCH_allocs.json
-# baseline via `knowtrans obs diff`.
-# A cluster gate then runs `knowtrans route -selftest`: a 3-backend fleet
-# with one backend SIGKILLed mid-load must serve every request (zero
-# non-2xx, byte-identical answers), record hedges and failovers, eject the
-# corpse, rebalance its keys, and drain the survivors clean on SIGTERM;
-# the recorded BENCH_cluster.json is diffed against the committed baseline.
-# Finally a jobs gate runs `knowtrans job -selftest` under a 30% seeded
-# fault rate: dry-run planning must be byte-deterministic, a multi-shard
-# bulk job SIGKILLed mid-flight must resume from its checkpoint log with
-# zero duplicated Transfers and produce output byte-identical to an
-# uninterrupted same-seed run, a torn checkpoint tail must be tolerated,
-# every /v1/* error body must be the canonical error envelope (also
-# enforced statically: no raw http.Error in the serving packages), and the
-# recorded BENCH_jobs.json is diffed against the committed baseline.
+# Tier-1 gate: formatting, vet, build, the race-sensitive test packages
+# (obs, AKB, eval, the serving tiers, the drills) and short fuzz runs of
+# the drill-report loader and the error envelope.
+# Tier-2 gates, each documented at its section below:
+#   determinism  same-seed experiments diff clean under `obs diff -strict`
+#   chaos        the rate-0 fault chain is byte-identical; 30% completes
+#   serve        the serve drill, then audits of the telemetry it left
+#   profiling    runtime timeline, CPU profile, serve report diffs
+#   batching     serve drill configurations and the warm B/op pair
+#   allocation   batched forward >= 2x serial, vs BENCH_allocs.json
+#   cluster      the route drill (a backend SIGKILLed), vs BENCH_cluster.json
+#   jobs         the job drill (kill/resume), vs BENCH_jobs.json, and
+#                negative controls proving obs diff catches invariant flips
+# The drills (internal/drill; README "Drills") write self-describing
+# BENCH_*.json reports and exit non-zero on any broken invariant, so no
+# gate greps a verdict out of a BENCH doc.
 # Run from anywhere inside the repo; exits non-zero on first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -66,7 +30,9 @@ go vet ./...
 go build ./...
 go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 	./internal/faults/... ./internal/resilience/... ./internal/serve/... \
-	./internal/cluster/... ./internal/jobs/...
+	./internal/cluster/... ./internal/jobs/... ./internal/drill/...
+go test -run '^$' -fuzz '^FuzzReadDrillReport$' -fuzztime 5s ./internal/obs/analyze >/dev/null
+go test -run '^$' -fuzz '^FuzzErrorEnvelope$' -fuzztime 5s ./internal/serve >/dev/null
 echo "check.sh: tier-1 gates passed"
 
 # --- tier-2: telemetry determinism gate ------------------------------------
@@ -156,11 +122,10 @@ grep -q '"faults.injected"' "$tmp/chaos.json" || {
 echo "check.sh: tier-2 chaos gate passed"
 
 # --- tier-2: serve gate ------------------------------------------------------
-# The selftest drives a seeded load through the full HTTP path and exits
-# non-zero itself on any answer mismatch vs the direct path, any non-2xx
-# at fault rate 0, or any adapter whose cold starts did not coalesce to
-# exactly one Transfer. We additionally require the perf record to exist
-# and to have actually measured the load.
+# The serve drill exits non-zero on any broken invariant: an answer
+# mismatch vs the direct path, any non-2xx at fault rate 0, a missed
+# traceparent echo, fewer than the 256 requests asked for, or an adapter
+# whose cold starts did not coalesce to exactly one Transfer.
 "$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 256 -selftest-concurrency 64 -selftest-adapters 4 \
 	-bench "$tmp/serve.json" -trace "$tmp/serve.jsonl" \
@@ -169,14 +134,6 @@ echo "check.sh: tier-2 chaos gate passed"
 	-access-log "$tmp/access.log" >"$tmp/serve.out" || {
 	echo "check.sh: serve selftest failed:" >&2
 	cat "$tmp/serve.out" >&2
-	exit 1
-}
-[ -s "$tmp/serve.json" ] || {
-	echo "check.sh: serve selftest wrote no BENCH_serve.json" >&2
-	exit 1
-}
-grep -q '"requests": 256' "$tmp/serve.json" || {
-	echo "check.sh: BENCH_serve.json did not record the 256-request load" >&2
 	exit 1
 }
 
@@ -291,29 +248,20 @@ go tool pprof -raw "$tmp/serve.cpu.pprof" >/dev/null 2>&1 || {
 	exit 1
 }
 
-# BENCH_serve.json schema 4 carries the resources section, and obs diff
-# understands serve docs: clean against itself, exit 1 when bytes/op is
-# doctored an order of magnitude worse.
-grep -q '"schema_version": 4' "$tmp/serve.json" || {
-	echo "check.sh: BENCH_serve.json is not schema 4" >&2
-	exit 1
-}
-grep -q '"bytes_per_op"' "$tmp/serve.json" || {
-	echo "check.sh: BENCH_serve.json lacks the resources section" >&2
-	exit 1
-}
+# obs diff loads the serve report through its declared schema: clean
+# against itself, exit 1 when bytes/op and allocs/op are doctored ~10x.
 "$tmp/knowtrans" obs diff "$tmp/serve.json" "$tmp/serve.json" >/dev/null || {
-	echo "check.sh: obs diff on identical serve docs reported regressions" >&2
+	echo "check.sh: obs diff on identical serve reports reported regressions" >&2
 	exit 1
 }
-sed -e 's/"bytes_per_op": \([0-9]\)/"bytes_per_op": 9\1/' \
-	-e 's/"allocs_per_op": \([0-9]\)/"allocs_per_op": 9\1/' \
+sed -e 's/"name":"bytes_per_op","value":\([0-9]\)/"name":"bytes_per_op","value":9\1/' \
+	-e 's/"name":"allocs_per_op","value":\([0-9]\)/"name":"allocs_per_op","value":9\1/' \
 	"$tmp/serve.json" >"$tmp/serve.doctored.json"
 rc=0
 "$tmp/knowtrans" obs diff "$tmp/serve.json" "$tmp/serve.doctored.json" \
 	-rel-tol 0.5 >/dev/null 2>&1 || rc=$?
 if [ "$rc" != 1 ]; then
-	echo "check.sh: obs diff on doctored serve doc exited $rc, want 1" >&2
+	echo "check.sh: obs diff on doctored serve report exited $rc, want 1" >&2
 	exit 1
 fi
 
@@ -331,7 +279,7 @@ echo "check.sh: tier-2 profiling gate passed"
 # every configuration the batcher can reach. The selftest makes answer
 # mismatches fatal at any fault rate, so each PASS below is an equivalence
 # proof for its configuration; the main serve gate above already covered
-# the default batched configuration, and its verdicts pin that every
+# the default batched configuration, and its invariants pin that every
 # drained batch rode the batched forward.
 
 # Degenerate batches: -max-batch 1 drains single-request batches through
@@ -358,7 +306,8 @@ echo "check.sh: tier-2 profiling gate passed"
 # Warm pair: pre-warming the adapters takes cold-start Transfers out of
 # the measured bracket, so the per-request allocation numbers compare the
 # serving paths themselves. The batched path must allocate strictly fewer
-# bytes per request than the serial oracle.
+# bytes per request than the serial oracle (TestWarmPairAllocates reads
+# both reports through the declared schema).
 "$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 -selftest-warm \
 	-serial-predict -bench "$tmp/serve.warm-serial.json" >"$tmp/serve.ws.out" || {
 	echo "check.sh: warm serial selftest failed:" >&2
@@ -371,120 +320,96 @@ echo "check.sh: tier-2 profiling gate passed"
 	cat "$tmp/serve.wb.out" >&2
 	exit 1
 }
-grep -q '"warmed": true' "$tmp/serve.warm.json" || {
-	echo "check.sh: warm run's BENCH_serve.json does not record warmed: true" >&2
+KNOWTRANS_WARM_PAIR="$tmp/serve.warm-serial.json $tmp/serve.warm.json" \
+	go test -count=1 -run '^TestWarmPairAllocates$' -v ./internal/drill >"$tmp/warmpair.out" 2>&1 &&
+	grep -q -- '--- PASS: TestWarmPairAllocates' "$tmp/warmpair.out" || {
+	echo "check.sh: warm pair gate failed:" >&2
+	cat "$tmp/warmpair.out" >&2
 	exit 1
 }
-bser=$(sed -n 's/^ *"bytes_per_op": \([0-9.eE+-]*\),\{0,1\}$/\1/p' "$tmp/serve.warm-serial.json" | head -1)
-bbat=$(sed -n 's/^ *"bytes_per_op": \([0-9.eE+-]*\),\{0,1\}$/\1/p' "$tmp/serve.warm.json" | head -1)
-if [ -z "$bser" ] || [ -z "$bbat" ]; then
-	echo "check.sh: warm serve docs lack bytes_per_op (serial '$bser', batched '$bbat')" >&2
-	exit 1
-fi
-ok=$(awk -v s="$bser" -v b="$bbat" 'BEGIN { print (b < s) ? 1 : 0 }')
-if [ "$ok" != 1 ]; then
-	echo "check.sh: warm batched run allocates $bbat B/op, not below serial's $bser" >&2
-	exit 1
-fi
-echo "check.sh: tier-2 batching gate passed (warm B/op: batched $bbat vs serial $bser)"
+echo "check.sh: tier-2 batching gate passed"
 
 # --- tier-2: allocation gate -------------------------------------------------
 # The ServePredict benchmark pair answers the same 8-instance micro-batch
-# through the batched forward and the serial loop. The batched side must be
-# at least 2x faster, and the measured time/bytes/allocs per op must stay
-# within tolerance of the committed BENCH_allocs.json baseline (the rel-tol
-# absorbs machine-to-machine time variance; the 2x ratio gate is
+# through the batched forward and the serial loop. The awk step writes the
+# pair as a drill report: time/bytes/allocs per op as lower-is-better perf
+# metrics, the speedup as a higher-is-better one, and "batched >= 2x
+# serial" as an invariant. Diffing against the committed BENCH_allocs.json
+# fails on that invariant at any tolerance and on perf numbers past the
+# rel-tol (which absorbs machine-to-machine time variance; the 2x ratio is
 # machine-independent).
 go test -run '^$' -bench 'ServePredict' -benchmem . >"$tmp/bench.out" || {
 	echo "check.sh: ServePredict benchmarks failed:" >&2
 	cat "$tmp/bench.out" >&2
 	exit 1
 }
-awk '
-	$1 ~ /^BenchmarkServePredict(-|$)/       { bt=$3; bb=$5; ba=$7 }
+awk -v gover="$(go env GOVERSION)" -v rev="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)" '
+	/^cpu: /                                 { cpu = substr($0, 6) }
+	$1 ~ /^BenchmarkServePredict(-|$)/       { bt=$3; bb=$5; ba=$7; procs = ($1 ~ /-[0-9]+$/) ? substr($1, match($1, /-[0-9]+$/) + 1) : 1 }
 	$1 ~ /^BenchmarkServePredictSerial(-|$)/ { st=$3; sb=$5; sa=$7 }
+	function perf(name, v, unit, better) {
+		printf "    {\"name\":\"%s\",\"value\":%s,\"unit\":\"%s\",\"better\":\"%s\",\"kind\":\"perf\"},\n", name, v, unit, better
+	}
 	END {
 		if (bt == "" || st == "") { print "missing benchmark lines" > "/dev/stderr"; exit 1 }
-		printf "{\n  \"schema_version\": 1,\n  \"report\": {\n"
-		printf "    \"batched_time_ns\": %s,\n    \"batched_bytes_per_op\": %s,\n    \"batched_allocs_per_op\": %s,\n", bt, bb, ba
-		printf "    \"serial_time_ns\": %s,\n    \"serial_bytes_per_op\": %s,\n    \"serial_allocs_per_op\": %s,\n", st, sb, sa
-		printf "    \"batch_speedup_x\": %.3f\n  }\n}\n", st / bt
+		printf "{\n  \"schema_version\": 1,\n  \"drill\": \"allocs\",\n"
+		printf "  \"env\": {\"go_version\": \"%s\", \"gomaxprocs\": %d, \"cpu\": \"%s\", \"revision\": \"%s\"},\n", gover, procs, cpu, rev
+		printf "  \"metrics\": [\n"
+		perf("batched_time_ns", bt, "ns/op", "lower"); perf("batched_bytes_per_op", bb, "B/op", "lower")
+		perf("batched_allocs_per_op", ba, "allocs/op", "lower"); perf("serial_time_ns", st, "ns/op", "lower")
+		perf("serial_bytes_per_op", sb, "B/op", "lower"); perf("serial_allocs_per_op", sa, "allocs/op", "lower")
+		perf("batch_speedup_x", sprintf("%.3f", st / bt), "x", "higher")
+		printf "    {\"name\":\"batch_speedup_ge_2x\",\"value\":%d,\"want\":1,\"unit\":\"bool\",\"kind\":\"invariant\"}\n  ]\n}\n", (st / bt >= 2.0)
 	}
 ' "$tmp/bench.out" >"$tmp/allocs.json" || {
 	echo "check.sh: could not parse benchmark output:" >&2
 	cat "$tmp/bench.out" >&2
 	exit 1
 }
-speedup=$(sed -n 's/^ *"batch_speedup_x": \([0-9.]*\).*/\1/p' "$tmp/allocs.json")
-ok=$(awk -v x="$speedup" 'BEGIN { print (x >= 2.0) ? 1 : 0 }')
-if [ "$ok" != 1 ]; then
-	echo "check.sh: batched forward is only ${speedup}x the serial loop, want >= 2x:" >&2
-	cat "$tmp/bench.out" >&2
-	exit 1
-fi
 "$tmp/knowtrans" obs diff BENCH_allocs.json "$tmp/allocs.json" -rel-tol 0.5 >/dev/null || {
 	echo "check.sh: allocation gate regressed vs committed BENCH_allocs.json:" >&2
 	"$tmp/knowtrans" obs diff BENCH_allocs.json "$tmp/allocs.json" -rel-tol 0.5 >&2 || true
+	cat "$tmp/bench.out" >&2
 	exit 1
 }
-echo "check.sh: tier-2 allocation gate passed (batched ${speedup}x serial)"
+echo "check.sh: tier-2 allocation gate passed"
 
 # --- tier-2: cluster gate ----------------------------------------------------
-# The sharded serving tier's chaos drill: `route -selftest` spawns a
-# 3-backend fleet as subprocesses, drives two 256-request 64-concurrent
-# seeded load phases through two router replicas (one hedging, one
-# failover-only), SIGKILLs one backend a quarter of the way into the
-# second phase, and itself exits non-zero unless every request succeeded
-# with answers byte-identical to the direct path, hedges AND failovers
-# were recorded, the corpse was ejected by the health probes, its keys
-# were re-served by replicas, and the surviving backends drained clean
-# (exit 0) on SIGTERM. check.sh additionally pins the zero-failure
-# verdicts in the written record and diffs its latency/throughput profile
-# against the committed baseline (generous tolerance: a degraded-phase
-# profile depends on kill timing).
+# The route drill spawns a 3-backend fleet as subprocesses, drives two
+# 256-request 64-concurrent seeded load phases through two router replicas
+# (one hedging, one failover-only), SIGKILLs one backend a quarter of the
+# way into the second phase, and exits non-zero unless all 512 requests
+# succeeded with answers byte-identical to the direct path, hedges and
+# failovers fired, both routers ejected the corpse, its keys were
+# re-served by replicas, and the survivors drained clean on SIGTERM. The
+# report is diffed against the committed baseline: invariants exactly,
+# latency/throughput within a generous tolerance (a degraded-phase profile
+# depends on kill timing).
 "$tmp/knowtrans" route -selftest -scale 0.05 -seed 7 \
-	-selftest-requests 256 -selftest-concurrency 64 -selftest-adapters 4 \
 	-faults rate=0.3,seed=9 -bench "$tmp/cluster.json" >"$tmp/cluster.out" || {
 	echo "check.sh: route selftest failed:" >&2
 	cat "$tmp/cluster.out" >&2
 	exit 1
 }
-[ -s "$tmp/cluster.json" ] || {
-	echo "check.sh: route selftest wrote no BENCH_cluster.json" >&2
-	exit 1
-}
-for want in '"non_2xx": 0' '"mismatches": 0' '"requests": 512'; do
-	grep -q "$want" "$tmp/cluster.json" || {
-		echo "check.sh: BENCH_cluster.json lacks $want" >&2
-		cat "$tmp/cluster.json" >&2
-		exit 1
-	}
-done
-hedges=$(sed -n 's/^ *"hedges": \([0-9]*\),\{0,1\}$/\1/p' "$tmp/cluster.json")
-failovers=$(sed -n 's/^ *"failovers": \([0-9]*\),\{0,1\}$/\1/p' "$tmp/cluster.json")
-if [ -z "$hedges" ] || [ "$hedges" = 0 ] || [ -z "$failovers" ] || [ "$failovers" = 0 ]; then
-	echo "check.sh: BENCH_cluster.json records hedges='$hedges' failovers='$failovers', want both > 0" >&2
-	exit 1
-fi
 "$tmp/knowtrans" obs diff BENCH_cluster.json "$tmp/cluster.json" -rel-tol 1.0 >/dev/null || {
 	echo "check.sh: cluster gate regressed vs committed BENCH_cluster.json:" >&2
 	"$tmp/knowtrans" obs diff BENCH_cluster.json "$tmp/cluster.json" -rel-tol 1.0 >&2 || true
 	exit 1
 }
-echo "check.sh: tier-2 cluster gate passed ($hedges hedges, $failovers failovers, 0 failed requests)"
+echo "check.sh: tier-2 cluster gate passed"
 
 # --- tier-2: jobs gate -------------------------------------------------------
-# The bulk tier's crash-recovery drill: `job -selftest` spawns a 2-backend
-# fleet, runs a 64-row 8-shard job uninterrupted, runs the same rows as a
-# subprocess that SIGKILLs itself after 2 fsynced shard commits, tears the
-# checkpoint tail the way a second mid-append kill would, resumes, and
-# itself exits non-zero unless the resumed output is byte-identical to the
-# uninterrupted run with zero duplicated Transfers anywhere in the fleet,
-# zero lost rows (retries absorb the 30% fault rate), and a canonical
-# error envelope on the probe. check.sh pins those verdicts in the written
-# record — the 0/1 verdict fields sit inside obs diff's tolerance, so a
-# flip to 0 must fail here, not there — and re-plans the kept spec twice
-# to pin dry-run determinism from the CLI surface.
+# The job drill spawns a 2-backend fleet, runs a 64-row 8-shard job
+# uninterrupted, runs the same rows as a subprocess that SIGKILLs itself
+# after 2 fsynced shard commits, tears the checkpoint tail the way a second
+# mid-append kill would, resumes, and exits non-zero unless every
+# invariant holds: the crashed run died with some but not all shards
+# durable, the resume adopted exactly those shards, the output is
+# byte-identical to the uninterrupted run with zero lost rows (retries
+# absorb the 30% fault rate) and zero duplicated Transfers anywhere in the
+# fleet, the plan rendered deterministically, the error probe got the
+# canonical envelope, and the fleet drained clean. check.sh re-plans the
+# kept spec twice to pin dry-run determinism from the CLI surface.
 "$tmp/knowtrans" job -selftest -scale 0.05 -seed 7 \
 	-faults rate=0.3,seed=9 -bench "$tmp/jobs.json" \
 	-workdir "$tmp/jobswork" >"$tmp/jobs.out" || {
@@ -492,23 +417,6 @@ echo "check.sh: tier-2 cluster gate passed ($hedges hedges, $failovers failovers
 	cat "$tmp/jobs.out" >&2
 	exit 1
 }
-grep -q 'error envelope ok' "$tmp/jobs.out" || {
-	echo "check.sh: job selftest never probed the error envelope" >&2
-	exit 1
-}
-[ -s "$tmp/jobs.json" ] || {
-	echo "check.sh: job selftest wrote no BENCH_jobs.json" >&2
-	exit 1
-}
-for want in '"byte_identical": 1' '"plan_deterministic": 1' \
-	'"duplicate_transfers": 0' '"row_failures": 0' \
-	'"truncated_tail_recovered": 1'; do
-	grep -q "$want" "$tmp/jobs.json" || {
-		echo "check.sh: BENCH_jobs.json lacks $want" >&2
-		cat "$tmp/jobs.json" >&2
-		exit 1
-	}
-done
 
 # Dry-run determinism from the CLI: the same spec must render the same
 # plan bytes on every invocation (no timestamps, no map ordering).
@@ -532,5 +440,23 @@ fi
 	"$tmp/knowtrans" obs diff BENCH_jobs.json "$tmp/jobs.json" -rel-tol 1.0 >&2 || true
 	exit 1
 }
+
+# Negative controls: an invariant flipped 1->0, or a count halved, must
+# fail `obs diff` even at -rel-tol 1.0 (each sed must hit, or the copy
+# equals the baseline and the diff passes, failing this gate).
+sed 's/"name":"byte_identical","value":1,/"name":"byte_identical","value":0,/' \
+	BENCH_jobs.json >"$tmp/jobs.flipped.json"
+sed 's/"name":"rows","value":64,/"name":"rows","value":32,/' \
+	BENCH_jobs.json >"$tmp/jobs.halved.json"
+sed 's/"name":"requests","value":512,/"name":"requests","value":256,/' \
+	BENCH_cluster.json >"$tmp/cluster.halved.json"
+for pair in BENCH_jobs.json:jobs.flipped BENCH_jobs.json:jobs.halved BENCH_cluster.json:cluster.halved; do
+	rc=0
+	"$tmp/knowtrans" obs diff "${pair%%:*}" "$tmp/${pair#*:}.json" -rel-tol 1.0 >/dev/null 2>&1 || rc=$?
+	if [ "$rc" != 1 ]; then
+		echo "check.sh: obs diff ${pair%%:*} vs ${pair#*:} exited $rc, want 1" >&2
+		exit 1
+	fi
+done
 echo "check.sh: tier-2 jobs gate passed (kill/resume byte-identical, 0 duplicated transfers)"
 echo "check.sh: all gates passed"
