@@ -95,6 +95,25 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
+// BenchmarkTrain measures a whole multi-epoch model.Train over a fixed
+// 64-example EM set with the full backbone trainable: per-epoch example
+// construction and encoding, every Step, clipping and the sparse-row Adam
+// steps — the loop behind every upstream build, patch extraction and
+// few-shot fine-tune, which BenchmarkTrainStep's single Step cannot see.
+func BenchmarkTrain(b *testing.B) {
+	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
+	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
+	examples := make([]model.TrainExample, 64)
+	for i := range examples {
+		examples[i] = model.TrainExample{Spec: bundle.Spec(), Instance: bundle.DS.Train[i%len(bundle.DS.Train)]}
+	}
+	ps := m.Params()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.Train(m, examples, model.DefaultTrain(1), &ps)
+	}
+}
+
 // BenchmarkInference measures one prediction without patches.
 func BenchmarkInference(b *testing.B) {
 	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})

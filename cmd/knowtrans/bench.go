@@ -5,6 +5,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/drill"
 	"repro/internal/eval"
 	"repro/internal/obs/analyze"
 )
@@ -45,6 +46,7 @@ func benchRecord(t *eval.Table, wall time.Duration, scale float64, reps int, see
 func writeBenchRun(path string, run *BenchRun) error {
 	run.SchemaVersion = 1
 	run.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	run.Env = drill.CaptureEnv()
 	var total float64
 	for _, e := range run.Experiments {
 		total += e.WallSeconds

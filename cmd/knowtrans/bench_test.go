@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/obs/analyze"
 )
 
 // TestBenchRecord pins benchRecord's per-column averages against a
@@ -52,5 +57,30 @@ func TestBenchRecord(t *testing.T) {
 	}
 	if len(be.Metrics) != 2 {
 		t.Errorf("metrics = %v, want exactly the two columns", be.Metrics)
+	}
+}
+
+// TestWriteBenchRunStampsEnv checks that BENCH_run.json carries the drill
+// reports' env block and still loads through the strict `obs diff` loader.
+func TestWriteBenchRunStampsEnv(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_run.json")
+	run := &BenchRun{Experiments: []BenchExperiment{{ID: "tX", WallSeconds: 2, Metrics: map[string]float64{"M1": 1}}}}
+	if err := writeBenchRun(path, run); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got BenchRun
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Env.GoVersion != runtime.Version() || got.Env.GOMAXPROCS != runtime.GOMAXPROCS(0) ||
+		got.Env.CPU == "" || got.Env.Revision == "" {
+		t.Fatalf("env = %+v", got.Env)
+	}
+	if secs, err := analyze.LoadBench(path); err != nil || len(secs) != 1 || secs[0].ID != "tX" {
+		t.Fatalf("LoadBench = %+v, %v", secs, err)
 	}
 }

@@ -89,7 +89,9 @@ type scratch struct {
 	scores  tensor.Vec
 	dscores tensor.Vec
 	gs      []tensor.Vec
+	f       tensor.Vec // Step's copy of the input encoding
 	df      tensor.Vec
+	dg      tensor.Vec
 }
 
 // New constructs a randomly initialized model.
@@ -101,7 +103,17 @@ func New(cfg Config) *Model {
 		cfg.Hidden = Hidden7B
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{
+	m := shell(cfg)
+	m.inEmb = nn.NewEmbedding("in.emb", cfg.Dim, cfg.Hidden, rng)
+	m.inDense = nn.NewDense("in.dense", cfg.Hidden, cfg.Hidden, rng)
+	m.candEmb = nn.NewEmbedding("cand.emb", cfg.Dim, cfg.Hidden, rng)
+	m.candDense = nn.NewDense("cand.dense", cfg.Hidden, cfg.Hidden, rng)
+	return m
+}
+
+// shell returns a model with everything but its linear layers.
+func shell(cfg Config) *Model {
+	return &Model{
 		Cfg:       cfg,
 		Hasher:    text.NewHasher(cfg.Dim),
 		inAct1:    &nn.Tanh{},
@@ -111,11 +123,6 @@ func New(cfg Config) *Model {
 		Trust:     &nn.Scalar{Name: "trust"},
 		candCache: make(map[string]*tensor.Sparse),
 	}
-	m.inEmb = nn.NewEmbedding("in.emb", cfg.Dim, cfg.Hidden, rng)
-	m.inDense = nn.NewDense("in.dense", cfg.Hidden, cfg.Hidden, rng)
-	m.candEmb = nn.NewEmbedding("cand.emb", cfg.Dim, cfg.Hidden, rng)
-	m.candDense = nn.NewDense("cand.dense", cfg.Hidden, cfg.Hidden, rng)
-	return m
 }
 
 // Params returns the base parameters including every attached patch factor
@@ -257,10 +264,15 @@ func (m *Model) Loss(ex *tasks.Example) float64 {
 // whatever parameters are unfrozen (backbone, patches, λ, trust), and
 // returns the loss. The caller owns ZeroGrad and the optimizer step.
 func (m *Model) Step(ex *tasks.Example) float64 {
+	return m.step(ex, m.EncodeInput(ex.Segments))
+}
+
+// step is Step on an example whose input encoding x is already known.
+func (m *Model) step(ex *tasks.Example, x *tensor.Sparse) float64 {
 	m.Rec.Count("model.train_step", 1)
 	n := len(ex.Candidates)
-	x := m.EncodeInput(ex.Segments)
-	f := m.forwardInput(x).Clone()
+	f := append(m.scratch.f[:0], m.forwardInput(x)...)
+	m.scratch.f = f
 	inv := 1 / math.Sqrt(float64(m.Cfg.Hidden))
 
 	if cap(m.scratch.scores) < n {
@@ -299,7 +311,10 @@ func (m *Model) Step(ex *tasks.Example) float64 {
 	}
 	// Candidate-side gradients: re-run each candidate forward so the layer
 	// caches hold candidate k's activations, then backprop d_k·f·inv.
-	dg := tensor.NewVec(m.Cfg.Hidden)
+	if cap(m.scratch.dg) < m.Cfg.Hidden {
+		m.scratch.dg = tensor.NewVec(m.Cfg.Hidden)
+	}
+	dg := m.scratch.dg[:m.Cfg.Hidden]
 	for k, c := range ex.Candidates {
 		if d[k] == 0 {
 			continue

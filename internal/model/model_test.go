@@ -1,6 +1,8 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,7 +137,37 @@ func TestTrustLearnsToFollowRules(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	m := New(tinyConfig())
+	// Clone must be exactly New + Export→LoadSnapshot: same weights and
+	// trust to the bit, and the same fresh, unfrozen parameters, even from
+	// a trained model with a frozen backbone.
+	warm := m.Params()
+	Train(m, ExamplesFrom(tasks.ED, toyED(12, 2), hintKnowledge()), DefaultTrain(3), &warm)
+	m.SetBaseFrozen(true)
+	m.Trust.Frozen = true
+	ref := New(m.Cfg)
+	if err := ref.LoadSnapshot(m.Export()); err != nil {
+		t.Fatal(err)
+	}
 	c := m.Clone()
+	if c.Cfg != ref.Cfg || c.Trust.Val != m.Trust.Val || m.Trust.Val == 0 {
+		t.Fatalf("clone config/trust %+v/%v, want %+v/%v (non-zero)", c.Cfg, c.Trust.Val, ref.Cfg, m.Trust.Val)
+	}
+	digest := func(mm *Model) string {
+		h := sha256.New()
+		snapshotDigest(h, mm.Export())
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	if got, want := digest(c), digest(ref); got != want {
+		t.Fatalf("Clone snapshot digest %s, Export→LoadSnapshot %s", got, want)
+	}
+	for i, p := range c.BaseParams() {
+		rp := ref.BaseParams()[i]
+		if p.Name != rp.Name || p.Frozen || c.Trust.Frozen {
+			t.Fatalf("clone param %q (frozen %v), want %q unfrozen", p.Name, p.Frozen, rp.Name)
+		}
+	}
+	m.SetBaseFrozen(false)
+	m.Trust.Frozen = false
 	// Same weights initially.
 	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), toyED(1, 5)[0], nil)
 	s1 := m.Scores(ex).Clone()

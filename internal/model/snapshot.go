@@ -46,16 +46,20 @@ func (m *Model) LoadSnapshot(s *Snapshot) error {
 }
 
 // Clone returns a fresh model with identical backbone weights and no
-// patches. The clone has its own scratch and candidate cache, so the
-// original and the clone can be trained independently (but each remains
-// single-goroutine). The clone inherits the recorder: observability follows
-// the model through the pipeline's clone-then-fine-tune pattern.
+// patches: the same model Export→LoadSnapshot into New(m.Cfg) would give,
+// built by copying the backbone instead of drawing an initialization that
+// the load would overwrite. The clone has its own scratch and candidate
+// cache, so the original and the clone can be trained independently (but
+// each remains single-goroutine). The clone inherits the recorder:
+// observability follows the model through the pipeline's
+// clone-then-fine-tune pattern.
 func (m *Model) Clone() *Model {
-	c := New(m.Cfg)
-	if err := c.LoadSnapshot(m.Export()); err != nil {
-		// Same config by construction; a failure here is a programming error.
-		panic(err)
-	}
+	c := shell(m.Cfg)
+	c.inEmb = m.inEmb.CloneBase()
+	c.inDense = m.inDense.CloneBase()
+	c.candEmb = m.candEmb.CloneBase()
+	c.candDense = m.candDense.CloneBase()
+	c.Trust.Val = m.Trust.Val
 	c.Rec = m.Rec
 	return c
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/tasks"
+	"repro/internal/tensor"
 )
 
 // TrainConfig fixes a fine-tuning run. The defaults mirror the paper's
@@ -65,6 +66,15 @@ func Train(m *Model, examples []TrainExample, tc TrainConfig, ps *nn.ParamSet) f
 		tag = "train"
 	}
 	stepMetric, lossMetric := tag+".step_us", tag+".epoch_loss"
+	// Each example is built and encoded on its first visit and reused by
+	// later epochs: spec, instance, knowledge and hasher are fixed for the
+	// whole call, so every epoch would rebuild the same bits. The prompt
+	// text is never rendered and the segments are dropped once encoded.
+	type built struct {
+		ex *tasks.Example
+		x  *tensor.Sparse
+	}
+	cache := make([]built, len(examples))
 	var lastEpochLoss float64
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -72,10 +82,16 @@ func Train(m *Model, examples []TrainExample, tc TrainConfig, ps *nn.ParamSet) f
 		ps.ZeroGrad()
 		pending := 0
 		for _, idx := range order {
-			te := examples[idx]
-			ex := tasks.BuildExample(te.Spec, te.Instance, te.Knowledge)
+			b := &cache[idx]
+			if b.ex == nil {
+				te := examples[idx]
+				b.ex = &tasks.Example{}
+				tasks.BuildExampleInto(b.ex, te.Spec, te.Instance, te.Knowledge)
+				b.x = m.EncodeInput(b.ex.Segments)
+				b.ex.Segments = nil
+			}
 			stepStart := m.Rec.Now()
-			total += m.Step(ex)
+			total += m.step(b.ex, b.x)
 			m.Rec.ObserveSince(stepMetric, stepStart)
 			pending++
 			if pending == batch {

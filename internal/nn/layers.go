@@ -19,6 +19,15 @@ type Attachment struct {
 	// Scratch reused across Forward/Backward of one example.
 	z  tensor.Vec // A·u (rank-sized)
 	bz tensor.Vec // B·z (output-sized), cached for dλ
+	dz tensor.Vec // rank-sized gradient through the patch, Backward only
+}
+
+// rankScratch returns the attachment's rank-sized Backward scratch.
+func (at *Attachment) rankScratch(r int) tensor.Vec {
+	if cap(at.dz) < r {
+		at.dz = tensor.NewVec(r)
+	}
+	return at.dz[:r]
 }
 
 // Rank returns the LoRA rank of the attachment.
@@ -57,9 +66,17 @@ type Embedding struct {
 func NewEmbedding(name string, dim, hidden int, rng *rand.Rand) *Embedding {
 	e := NewParam(name+".E", dim, hidden)
 	e.W.FillGaussian(rng, 1/math.Sqrt(float64(hidden)))
-	e.TrackRows()
-	return &Embedding{E: e, out: tensor.NewVec(hidden)}
+	return embeddingOf(e)
 }
+
+func embeddingOf(e *Param) *Embedding {
+	e.TrackRows()
+	return &Embedding{E: e, out: tensor.NewVec(e.W.Cols)}
+}
+
+// CloneBase returns an embedding with a copy of E's weights and none of
+// the patches, gradients or optimizer state; nothing is drawn at random.
+func (l *Embedding) CloneBase() *Embedding { return embeddingOf(l.E.cloneWeights()) }
 
 // Hidden returns the output dimensionality.
 func (l *Embedding) Hidden() int { return l.E.W.Cols }
@@ -141,7 +158,7 @@ func (l *Embedding) Backward(dy tensor.Vec) {
 		}
 		if !at.B.Frozen {
 			// du = scale · A·dy ; dB[j,:] += xⱼ·du
-			du := tensor.NewVec(r)
+			du := at.rankScratch(r)
 			at.A.W.MulVec(dy, du)
 			du.Scale(scale)
 			for i, idx := range x.Idx {
@@ -169,15 +186,24 @@ type Dense struct {
 	in  tensor.Vec
 	out tensor.Vec
 	din tensor.Vec
+	tmp tensor.Vec // Aᵀdz of one patch in Backward
 }
 
 // NewDense allocates an out x in layer with Xavier-style init.
 func NewDense(name string, out, in int, rng *rand.Rand) *Dense {
 	w := NewParam(name+".W", out, in)
 	w.W.FillGaussian(rng, math.Sqrt(2/float64(in+out)))
-	b := NewParam(name+".b", 1, out)
-	return &Dense{W: w, B: b, out: tensor.NewVec(out), din: tensor.NewVec(in)}
+	return denseOf(w, NewParam(name+".b", 1, out))
 }
+
+func denseOf(w, b *Param) *Dense {
+	in := w.W.Cols
+	return &Dense{W: w, B: b, out: tensor.NewVec(w.W.Rows), din: tensor.NewVec(in), tmp: tensor.NewVec(in)}
+}
+
+// CloneBase returns a layer with copies of W and b and none of the patches,
+// gradients or optimizer state; nothing is drawn at random.
+func (l *Dense) CloneBase() *Dense { return denseOf(l.W.cloneWeights(), l.B.cloneWeights()) }
 
 // In returns the input size; Out the output size.
 func (l *Dense) In() int  { return l.W.W.Cols }
@@ -242,7 +268,7 @@ func (l *Dense) Backward(dy tensor.Vec) tensor.Vec {
 			at.Coef.Grad += at.Alpha * dy.Dot(bz)
 		}
 		// dz = scale·Bᵀdy (needed for both dA and du)
-		dz := tensor.NewVec(r)
+		dz := at.rankScratch(r)
 		at.B.W.MulVecT(dy, dz)
 		dz.Scale(scale)
 		if !at.B.Frozen {
@@ -252,9 +278,8 @@ func (l *Dense) Backward(dy tensor.Vec) tensor.Vec {
 			at.A.G.RankOne(1, dz, l.in)
 		}
 		// du += Aᵀdz
-		tmp := tensor.NewVec(l.In())
-		at.A.W.MulVecT(dz, tmp)
-		du.Axpy(1, tmp)
+		at.A.W.MulVecT(dz, l.tmp)
+		du.Axpy(1, l.tmp)
 	}
 	return du
 }

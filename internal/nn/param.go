@@ -16,7 +16,7 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -29,6 +29,10 @@ import (
 // with TouchRow, and ZeroGrad / gradient norms / Adam then visit only those
 // rows. This is the standard "sparse Adam" approximation (moments of
 // untouched rows do not decay on steps that skip them).
+//
+// The touched-row set is a per-row mark array plus the list of marked rows:
+// TouchRow is O(1), ZeroGrad clears only the listed rows, and the list is
+// sorted once per optimizer step however many passes read it.
 type Param struct {
 	Name   string
 	W      *tensor.Mat
@@ -37,7 +41,9 @@ type Param struct {
 
 	m, v *tensor.Mat // Adam first/second moments, allocated lazily
 
-	rows map[int32]struct{} // touched-row set; nil = dense gradients
+	mark    []bool  // mark[r]: row r is in touched; nil = dense gradients
+	touched []int32 // rows marked since the last ZeroGrad
+	sorted  bool    // touched is in ascending order
 }
 
 // NewParam allocates a zero-initialized parameter.
@@ -49,50 +55,63 @@ func NewParam(name string, rows, cols int) *Param {
 	}
 }
 
+// cloneWeights returns a fresh parameter of the same name and shape holding
+// a copy of W, with zero gradient, no optimizer state and dense tracking.
+func (p *Param) cloneWeights() *Param {
+	c := NewParam(p.Name, p.W.Rows, p.W.Cols)
+	copy(c.W.Data, p.W.Data)
+	return c
+}
+
 // TrackRows switches the parameter to sparse-row gradient tracking.
 func (p *Param) TrackRows() {
-	if p.rows == nil {
-		p.rows = make(map[int32]struct{})
+	if p.mark == nil {
+		p.mark = make([]bool, p.W.Rows)
 	}
 }
 
 // TouchRow records that row r received gradient this step. It is a no-op
-// for dense parameters.
+// for dense parameters and for rows already touched.
 func (p *Param) TouchRow(r int) {
-	if p.rows != nil {
-		p.rows[int32(r)] = struct{}{}
+	if p.mark != nil && !p.mark[r] {
+		p.mark[r] = true
+		p.touched = append(p.touched, int32(r))
+		p.sorted = false
 	}
 }
 
 // ZeroGrad clears the accumulated gradient (only the touched rows for
 // sparse-tracked parameters).
 func (p *Param) ZeroGrad() {
-	if p.rows != nil {
-		for r := range p.rows {
+	if p.mark != nil {
+		for _, r := range p.touched {
 			p.G.Row(int(r)).Zero()
+			p.mark[r] = false
 		}
-		clear(p.rows)
+		p.touched = p.touched[:0]
 		return
 	}
 	p.G.Zero()
 }
 
-// touchedRows returns the touched-row indices in sorted order. Sorted
-// iteration keeps floating-point reductions (gradient norms) bit-identical
-// across runs; map order would make training non-reproducible.
+// touchedRows returns the touched-row indices in ascending order. The
+// order is what keeps floating-point reductions (gradient norms) and so
+// training bit-identical across runs: the rows arrive in the order
+// Backward touched them, which differs between batches of the same data.
+// The slice is sorted in place at most once between touches; callers must
+// not retain it past the next TouchRow or ZeroGrad.
 func (p *Param) touchedRows() []int32 {
-	rows := make([]int32, 0, len(p.rows))
-	for r := range p.rows {
-		rows = append(rows, r)
+	if !p.sorted {
+		slices.Sort(p.touched)
+		p.sorted = true
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	return rows
+	return p.touched
 }
 
 // gradRows invokes f on every row slice of G that may hold gradient, in a
 // deterministic order.
 func (p *Param) gradRows(f func(row tensor.Vec)) {
-	if p.rows != nil {
+	if p.mark != nil {
 		for _, r := range p.touchedRows() {
 			f(p.G.Row(int(r)))
 		}
@@ -240,20 +259,25 @@ func (a *Adam) Step(ps *ParamSet) {
 			p.m = tensor.NewMat(p.W.Rows, p.W.Cols)
 			p.v = tensor.NewMat(p.W.Rows, p.W.Cols)
 		}
+		// Constants live in locals so the loop does not reload them
+		// through a. Keep each expression's shape and operand order:
+		// training results are pinned bit for bit (TestTrainPinned).
+		beta1, beta2, lr, eps, wd := a.Beta1, a.Beta2, a.LR, a.Eps, a.WeightDecay
+		om1, om2 := 1-beta1, 1-beta2
 		update := func(g, w, m, v []float64) {
 			for i := range g {
 				gi := g[i]
-				if a.WeightDecay != 0 {
-					gi += a.WeightDecay * w[i]
+				if wd != 0 {
+					gi += wd * w[i]
 				}
-				m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-				v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+				m[i] = beta1*m[i] + om1*gi
+				v[i] = beta2*v[i] + om2*gi*gi
 				mh := m[i] / b1c
 				vh := v[i] / b2c
-				w[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+				w[i] -= lr * mh / (math.Sqrt(vh) + eps)
 			}
 		}
-		if p.rows != nil {
+		if p.mark != nil {
 			// Sparse-Adam: only rows touched since the last ZeroGrad carry
 			// gradient; untouched rows are skipped (their moments freeze).
 			cols := p.W.Cols

@@ -30,10 +30,12 @@ type BenchExperiment struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// BenchRun is the top-level BENCH_run.json document.
+// BenchRun is the top-level BENCH_run.json document. Env is the same
+// environment block the drill reports carry.
 type BenchRun struct {
 	SchemaVersion int               `json:"schema_version"`
 	GeneratedAt   string            `json:"generated_at"`
+	Env           Env               `json:"env"`
 	Experiments   []BenchExperiment `json:"experiments"`
 	TotalSeconds  float64           `json:"total_wall_seconds"`
 }
@@ -262,7 +264,8 @@ func (run *BenchRun) Sections() []Section {
 }
 
 // LoadBench reads a BENCH_run.json experiment record or a drill report
-// (recognized by its "drill" field) into comparable sections.
+// (recognized by its "drill" field) into comparable sections. Both decode
+// strictly: an unknown field is an error.
 func LoadBench(path string) ([]Section, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -283,8 +286,10 @@ func LoadBench(path string) ([]Section, error) {
 		}
 		return []Section{{ID: r.Drill, WallSeconds: r.WallS, Metrics: r.Metrics}}, nil
 	case probe.Experiments != nil:
+		dec := json.NewDecoder(bytes.NewReader(blob))
+		dec.DisallowUnknownFields()
 		var run BenchRun
-		if err := json.Unmarshal(blob, &run); err != nil {
+		if err := dec.Decode(&run); err != nil {
 			return nil, fmt.Errorf("analyze: %s: %w", path, err)
 		}
 		return run.Sections(), nil

@@ -263,6 +263,23 @@ func TestLoadBenchRun(t *testing.T) {
 	if _, err := LoadBench(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file should error")
 	}
+	stamped := filepath.Join(dir, "stamped.json")
+	doc = `{"schema_version":1,"env":{"go_version":"go1.24.0","gomaxprocs":2,"cpu":"x","revision":"abc"},` +
+		`"experiments":[{"id":"table2","metrics":{"M":42}}]}`
+	if err := os.WriteFile(stamped, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if secs, err := LoadBench(stamped); err != nil || len(secs) != 1 {
+		t.Fatalf("run record with env: %+v, %v", secs, err)
+	}
+	unknown := filepath.Join(dir, "unknown.json")
+	doc = `{"schema_version":1,"experiments":[{"id":"table2","metrics":{"M":42},"extra":1}]}`
+	if err := os.WriteFile(unknown, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBench(unknown); err == nil {
+		t.Error("a run record with an unknown field should error")
+	}
 	legacy := filepath.Join(dir, "legacy.json")
 	if err := os.WriteFile(legacy, []byte(`{"schema_version":4,"report":{"requests":256}}`), 0o644); err != nil {
 		t.Fatal(err)

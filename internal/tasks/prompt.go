@@ -52,12 +52,13 @@ func BuildExample(spec Spec, in *data.Instance, k *Knowledge) *Example {
 	return ex
 }
 
-// BuildExampleInto is the serve-path variant of BuildExample: it fills ex in
-// place, reusing ex.Segments' backing array, and does NOT render ex.Prompt —
-// the rendered prompt exists only for token/cost accounting and debugging,
-// and the model consumes Segments. The emitted segments are identical to
-// BuildExample's (same serializer, same order, same weights), which is what
-// keeps the batched serve path byte-identical to the direct path.
+// BuildExampleInto is the serve- and training-path variant of BuildExample:
+// it fills ex in place, reusing ex.Segments' backing array, and does NOT
+// render ex.Prompt — the rendered prompt exists only for token/cost
+// accounting and debugging, and the model consumes Segments. The emitted
+// segments are identical to BuildExample's (same serializer, same order,
+// same weights), which is what keeps the batched serve path and
+// model.Train byte-identical to the direct path.
 func BuildExampleInto(ex *Example, spec Spec, in *data.Instance, k *Knowledge) {
 	ex.Candidates = in.Candidates
 	ex.Gold = in.Gold

@@ -8,7 +8,8 @@
 #   serve        the serve drill, then audits of the telemetry it left
 #   profiling    runtime timeline, CPU profile, serve report diffs
 #   batching     serve drill configurations and the warm B/op pair
-#   allocation   batched forward >= 2x serial, vs BENCH_allocs.json
+#   allocation   batched forward >= 2x serial; serve, train-step and
+#                few-shot transfer cost, vs BENCH_allocs.json
 #   cluster      the route drill (a backend SIGKILLed), vs BENCH_cluster.json
 #   jobs         the job drill (kill/resume), vs BENCH_jobs.json, and
 #                negative controls proving obs diff catches invariant flips
@@ -331,15 +332,19 @@ echo "check.sh: tier-2 batching gate passed"
 
 # --- tier-2: allocation gate -------------------------------------------------
 # The ServePredict benchmark pair answers the same 8-instance micro-batch
-# through the batched forward and the serial loop. The awk step writes the
-# pair as a drill report: time/bytes/allocs per op as lower-is-better perf
+# through the batched forward and the serial loop; TrainStep is one
+# forward+backward of the DP-LM and FewShotTransfer one whole SKC+AKB
+# transfer (fixed at 5 iterations, so the same 5 oracle seeds every run),
+# the training path behind every cold first predict. The awk step writes
+# them as a drill report: time/bytes/allocs per op as lower-is-better perf
 # metrics, the speedup as a higher-is-better one, and "batched >= 2x
 # serial" as an invariant. Diffing against the committed BENCH_allocs.json
 # fails on that invariant at any tolerance and on perf numbers past the
 # rel-tol (which absorbs machine-to-machine time variance; the 2x ratio is
 # machine-independent).
-go test -run '^$' -bench 'ServePredict' -benchmem . >"$tmp/bench.out" || {
-	echo "check.sh: ServePredict benchmarks failed:" >&2
+{ go test -run '^$' -bench 'ServePredict|TrainStep$' -benchmem . &&
+	go test -run '^$' -bench 'FewShotTransfer$' -benchtime 5x -benchmem .; } >"$tmp/bench.out" || {
+	echo "check.sh: allocation benchmarks failed:" >&2
 	cat "$tmp/bench.out" >&2
 	exit 1
 }
@@ -347,17 +352,23 @@ awk -v gover="$(go env GOVERSION)" -v rev="$(git rev-parse --short=12 HEAD 2>/de
 	/^cpu: /                                 { cpu = substr($0, 6) }
 	$1 ~ /^BenchmarkServePredict(-|$)/       { bt=$3; bb=$5; ba=$7; procs = ($1 ~ /-[0-9]+$/) ? substr($1, match($1, /-[0-9]+$/) + 1) : 1 }
 	$1 ~ /^BenchmarkServePredictSerial(-|$)/ { st=$3; sb=$5; sa=$7 }
+	$1 ~ /^BenchmarkTrainStep(-|$)/          { tt=$3; tb=$5; ta=$7 }
+	$1 ~ /^BenchmarkFewShotTransfer(-|$)/    { ft=$3; fb=$5; fa=$7 }
 	function perf(name, v, unit, better) {
 		printf "    {\"name\":\"%s\",\"value\":%s,\"unit\":\"%s\",\"better\":\"%s\",\"kind\":\"perf\"},\n", name, v, unit, better
 	}
 	END {
-		if (bt == "" || st == "") { print "missing benchmark lines" > "/dev/stderr"; exit 1 }
+		if (bt == "" || st == "" || tt == "" || ft == "") { print "missing benchmark lines" > "/dev/stderr"; exit 1 }
 		printf "{\n  \"schema_version\": 1,\n  \"drill\": \"allocs\",\n"
 		printf "  \"env\": {\"go_version\": \"%s\", \"gomaxprocs\": %d, \"cpu\": \"%s\", \"revision\": \"%s\"},\n", gover, procs, cpu, rev
 		printf "  \"metrics\": [\n"
 		perf("batched_time_ns", bt, "ns/op", "lower"); perf("batched_bytes_per_op", bb, "B/op", "lower")
 		perf("batched_allocs_per_op", ba, "allocs/op", "lower"); perf("serial_time_ns", st, "ns/op", "lower")
 		perf("serial_bytes_per_op", sb, "B/op", "lower"); perf("serial_allocs_per_op", sa, "allocs/op", "lower")
+		perf("train_step_time_ns", tt, "ns/op", "lower"); perf("train_step_bytes_per_op", tb, "B/op", "lower")
+		perf("train_step_allocs_per_op", ta, "allocs/op", "lower")
+		perf("fewshot_transfer_time_ns", ft, "ns/op", "lower"); perf("fewshot_transfer_bytes_per_op", fb, "B/op", "lower")
+		perf("fewshot_transfer_allocs_per_op", fa, "allocs/op", "lower")
 		perf("batch_speedup_x", sprintf("%.3f", st / bt), "x", "higher")
 		printf "    {\"name\":\"batch_speedup_ge_2x\",\"value\":%d,\"want\":1,\"unit\":\"bool\",\"kind\":\"invariant\"}\n  ]\n}\n", (st / bt >= 2.0)
 	}
