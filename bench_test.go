@@ -192,7 +192,7 @@ func BenchmarkFewShotTransfer(b *testing.B) {
 	fewshot := bundle.DS.FewShot(rand.New(rand.NewSource(3)), eval.FewShotN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kt := core.NewKnowTrans(upstream, patches, core.WithPlainOracle(oracle.New(int64(i))))
+		kt := core.NewKnowTrans(upstream, patches, core.WithOracle(oracle.New(int64(i))))
 		if _, err := kt.Transfer(context.Background(), bundle.Kind, fewshot, int64(i)); err != nil {
 			b.Fatal(err)
 		}

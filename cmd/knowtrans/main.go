@@ -244,7 +244,7 @@ func runTransfer(args []string) {
 		fmt.Printf("loaded upstream model + %d patches from %s\n", len(snaps), *artifacts)
 		upstream.Rec = rec
 		kt := core.NewKnowTrans(upstream, snaps,
-			core.WithPlainOracle(oracle.New(*seed)),
+			core.WithOracle(oracle.New(*seed)),
 			core.WithRecorder(rec),
 		)
 		ad, err := kt.Transfer(context.Background(), b.Kind, fewshot, *seed)

@@ -33,8 +33,6 @@ func runServe(args []string) {
 	maxAdapters := fs.Int("max-adapters", 8, "resident-adapter bound (LRU eviction beyond it)")
 	maxBatch := fs.Int("max-batch", 8, "per-adapter micro-batch cap (1 disables batching)")
 	maxWait := fs.Duration("batch-wait", 2*time.Millisecond, "how long a non-full batch lingers for stragglers")
-	serialPredict := fs.Bool("serial-predict", false,
-		"force per-request Predict even for batch-capable adapters (the serial oracle path the batched path is gated against)")
 	reqTimeout := fs.Duration("timeout", 60*time.Second, "per-request deadline")
 	transferTimeout := fs.Duration("transfer-timeout", 0, "cold-start Transfer bound (0 = unbounded)")
 	maxInflight := fs.Int("max-inflight", 0, "shed predicts with 429 + Retry-After past this many in flight (0 = unlimited)")
@@ -80,7 +78,6 @@ func runServe(args []string) {
 		MaxAdapters:     *maxAdapters,
 		MaxBatch:        *maxBatch,
 		MaxWait:         *maxWait,
-		SerialPredict:   *serialPredict,
 		RequestTimeout:  *reqTimeout,
 		TransferTimeout: *transferTimeout,
 		MaxInflight:     *maxInflight,
@@ -105,17 +102,16 @@ func runServe(args []string) {
 		ref := eval.NewZoo(*seed, *scale)
 		ref.Faults = z.Faults
 		rep, err := drill.Serve(context.Background(), drill.ServeSpec{
-			Handler:       srv,
-			Registry:      reg,
-			Metrics:       rec.Metrics,
-			Reference:     drill.ZooReference(ref),
-			Requests:      *stRequests,
-			Concurrency:   *stConcurrency,
-			Adapters:      *stAdapters,
-			Warm:          *stWarm,
-			SerialPredict: *serialPredict,
-			Faulted:       *faultSpec != "",
-			Seed:          *seed,
+			Handler:     srv,
+			Registry:    reg,
+			Metrics:     rec.Metrics,
+			Reference:   drill.ZooReference(ref),
+			Requests:    *stRequests,
+			Concurrency: *stConcurrency,
+			Adapters:    *stAdapters,
+			Warm:        *stWarm,
+			Faulted:     *faultSpec != "",
+			Seed:        *seed,
 			Config: map[string]string{"scale": fmt.Sprint(*scale), "faults": *faultSpec,
 				"max_batch": fmt.Sprint(*maxBatch), "max_adapters": fmt.Sprint(*maxAdapters), "batch_wait": maxWait.String()},
 		})

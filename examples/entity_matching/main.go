@@ -58,7 +58,7 @@ func main() {
 	wa := datagen.ByKey("EM/Walmart-Amazon", seed, 0.1)
 	fewshot := wa.DS.FewShot(rand.New(rand.NewSource(seed)), 20)
 
-	kt := core.NewKnowTrans(upstream, patches, core.WithPlainOracle(oracle.New(seed)))
+	kt := core.NewKnowTrans(upstream, patches, core.WithOracle(oracle.New(seed)))
 	ad, err := kt.Transfer(context.Background(), tasks.EM, fewshot, seed)
 	if err != nil {
 		panic(err)

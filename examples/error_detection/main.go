@@ -35,7 +35,7 @@ func main() {
 	fewshot := beer.DS.FewShot(rand.New(rand.NewSource(seed)), 20)
 
 	upstream := z.Upstream(eval.Size7B)
-	kt := core.NewKnowTrans(upstream, z.Patches(eval.Size7B), core.WithPlainOracle(oracle.New(seed)))
+	kt := core.NewKnowTrans(upstream, z.Patches(eval.Size7B), core.WithOracle(oracle.New(seed)))
 	ad, err := kt.Transfer(context.Background(), tasks.ED, fewshot, seed)
 	if err != nil {
 		panic(err)

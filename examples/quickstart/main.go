@@ -57,7 +57,7 @@ func main() {
 	baseScore := baseline.Evaluate(tasks.SpecFor(b.Kind), b.DS.Test, nil)
 
 	// KnowTrans: SKC + AKB.
-	kt := core.NewKnowTrans(upstream, patches, core.WithPlainOracle(oracle.New(seed)))
+	kt := core.NewKnowTrans(upstream, patches, core.WithOracle(oracle.New(seed)))
 	ad, err := kt.Transfer(context.Background(), b.Kind, fewshot, seed)
 	if err != nil {
 		panic(err)

@@ -93,29 +93,19 @@ type FineTuned struct {
 	MethodName string
 	// Backbone returns a fresh clone of the backbone to fine-tune.
 	Backbone func() *model.Model
-	Train    model.TrainConfig
 }
 
 // Name implements Method.
 func (f *FineTuned) Name() string { return f.MethodName }
 
 // Adapt implements Method: full fine-tuning of the clone on the few-shot
-// examples.
+// examples with the shared few-shot recipe (model.FewShotTrain).
 func (f *FineTuned) Adapt(ctx *AdaptContext) Predictor {
 	m := f.Backbone()
 	if ctx.Rec != nil {
 		m.Rec = ctx.Rec
 	}
-	tc := f.Train
-	if tc.Epochs == 0 {
-		tc = model.DefaultTrain(ctx.Seed)
-		tc.Epochs = 6
-		tc.LR = 0.01
-		tc.WeightDecay = 3e-4
-		tc.BatchSize = 4
-	}
-	tc.Seed = ctx.Seed
 	ps := m.Params()
-	model.Train(m, model.ExamplesFrom(ctx.Bundle.Kind, ctx.FewShot, nil), tc, &ps)
+	model.Train(m, model.ExamplesFrom(ctx.Bundle.Kind, ctx.FewShot, nil), model.FewShotTrain(ctx.Seed), &ps)
 	return &modelPredictor{m: m, spec: ctx.Bundle.Spec()}
 }

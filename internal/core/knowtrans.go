@@ -6,7 +6,7 @@
 // Typical use:
 //
 //	kt := core.NewKnowTrans(upstreamModel, patchLibrary,
-//		core.WithPlainOracle(oracle.New(seed)), // the simulated GPT-4o
+//		core.WithOracle(oracle.New(seed)), // the simulated GPT-4o
 //	)
 //	ad, err := kt.Transfer(ctx, tasks.EM, fewshot, seed)
 //	...
@@ -35,34 +35,20 @@ type KnowTrans struct {
 	Upstream *model.Model
 	Patches  []*skc.NamedSnapshot
 
-	// Oracle is the single oracle seam of the framework: the error-aware
-	// face (akb.FallibleOracle) that a production client backed by a remote
-	// API implements directly. It replaces the old Oracle/Fallible field
-	// pair — an infallible in-process oracle plugs in through the thin
-	// WithPlainOracle adapter instead. When set, it takes precedence over
-	// any plain oracle and any armed fault spec (the caller owns the chain).
-	Oracle akb.FallibleOracle
-
 	SKC skc.Options
 	AKB akb.Config
 
 	UseSKC bool
 	UseAKB bool
 
-	// PlainFT is the fine-tuning recipe used instead of SKC when UseSKC is
-	// false (the "w/o SKC" ablation fine-tunes the whole upstream model on
-	// the few-shot data, like the Jellyfish baseline).
-	PlainFT model.TrainConfig
-
 	// Rec, when non-nil, wraps every Transfer in a root span and threads
 	// observability down into the SKC and AKB stages (overriding any
 	// Rec already set on kt.SKC / kt.AKB so the spans nest correctly).
 	Rec *obs.Recorder
 
-	// plain and chaosSpec back the WithPlainOracle/WithFaults options:
-	// Transfer builds the per-seed oracle chain (OracleChain) from them when
-	// no FallibleOracle was set directly.
-	plain     akb.Oracle
+	// oracle and chaosSpec back the WithOracle/WithFaults options:
+	// Transfer builds the per-seed oracle chain (OracleChain) from them.
+	oracle    akb.Oracle
 	chaosSpec *faults.Config
 }
 
@@ -71,7 +57,7 @@ type KnowTrans struct {
 // experiment harness, and the CLI all share:
 //
 //	kt := core.NewKnowTrans(upstream, patches,
-//		core.WithPlainOracle(oracle.New(seed)),
+//		core.WithOracle(oracle.New(seed)),
 //		core.WithRecorder(rec),
 //		core.WithFaults(chaosSpec), // nil disarms
 //	)
@@ -116,19 +102,6 @@ func OracleChain(g akb.Oracle, spec *faults.Config, cellSeed int64, rec *obs.Rec
 		CallTimeout: -1,
 		Rec:         rec,
 	})
-}
-
-// resolveOracle picks the oracle Transfer searches through: an explicitly
-// set FallibleOracle wins; otherwise the plain oracle is lifted through
-// OracleChain (which also arms the chaos chain when WithFaults set a spec).
-func (kt *KnowTrans) resolveOracle(seed int64, rec *obs.Recorder) (akb.FallibleOracle, error) {
-	if kt.Oracle != nil {
-		return kt.Oracle, nil
-	}
-	if kt.plain == nil {
-		return nil, fmt.Errorf("core: AKB enabled but no oracle configured")
-	}
-	return OracleChain(kt.plain, kt.chaosSpec, seed, rec), nil
 }
 
 // Adapted is a model transferred to one downstream dataset: the fine-tuned
@@ -236,20 +209,12 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 		}
 		ad.Model, ad.Fusion = tr.Model, tr.Fusion
 	} else {
+		// The "w/o SKC" ablation fine-tunes the whole upstream model on the
+		// few-shot data, like the Jellyfish baseline.
 		_, ftSpan := rec.StartSpan("core.plain_ft")
 		m := kt.Upstream.Clone()
-		tc := kt.PlainFT
-		if tc.Epochs == 0 {
-			tc = model.DefaultTrain(seed)
-			tc.Epochs = 6
-			tc.LR = 0.01
-			tc.WeightDecay = 3e-4
-			tc.BatchSize = 4
-		}
-		tc.Seed = seed
-		if tc.MetricTag == "" {
-			tc.MetricTag = "core.plain_ft"
-		}
+		tc := model.FewShotTrain(seed)
+		tc.MetricTag = "core.plain_ft"
 		ps := m.Params()
 		model.Train(m, examples, tc, &ps)
 		ad.Model = m
@@ -260,10 +225,10 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 		return nil, fmt.Errorf("core: transfer: %w", err)
 	}
 	if kt.UseAKB {
-		fo, err := kt.resolveOracle(seed, rec)
-		if err != nil {
-			return nil, err
+		if kt.oracle == nil {
+			return nil, fmt.Errorf("core: AKB enabled but no oracle configured")
 		}
+		fo := OracleChain(kt.oracle, kt.chaosSpec, seed, rec)
 		// SearchFallible normalizes the config (unset fields get the paper
 		// defaults, caller-set fields survive).
 		cfg := kt.AKB

@@ -51,7 +51,7 @@ func testUpstream() (*model.Model, []*skc.NamedSnapshot) {
 func TestTransferFullPipeline(t *testing.T) {
 	upstream, snaps := testUpstream()
 	rng := rand.New(rand.NewSource(5))
-	kt := NewKnowTrans(upstream, snaps, WithPlainOracle(fixedOracle{k: &tasks.Knowledge{
+	kt := NewKnowTrans(upstream, snaps, WithOracle(fixedOracle{k: &tasks.Knowledge{
 		Rules: []tasks.Rule{{
 			Cond:   tasks.Condition{Pred: tasks.PredFormat, Arg: tasks.FormatPercent},
 			Answer: tasks.Answer{Literal: tasks.AnswerYes},
@@ -89,7 +89,7 @@ func TestTransferAblations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fewshot := percentED(rng, 20)
 
-	kt := NewKnowTrans(upstream, snaps, WithPlainOracle(fixedOracle{k: &tasks.Knowledge{}}), WithSKC(false))
+	kt := NewKnowTrans(upstream, snaps, WithOracle(fixedOracle{k: &tasks.Knowledge{}}), WithSKC(false))
 	ad, err := kt.Transfer(context.Background(), tasks.ED, fewshot, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestTransferLeavesUpstreamUntouched(t *testing.T) {
 	upstream, snaps := testUpstream()
 	before := upstream.Export()
 	rng := rand.New(rand.NewSource(11))
-	kt := NewKnowTrans(upstream, snaps, WithPlainOracle(fixedOracle{k: &tasks.Knowledge{}}))
+	kt := NewKnowTrans(upstream, snaps, WithOracle(fixedOracle{k: &tasks.Knowledge{}}))
 	if _, err := kt.Transfer(context.Background(), tasks.ED, percentED(rng, 20), 12); err != nil {
 		t.Fatal(err)
 	}

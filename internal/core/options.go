@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/akb"
 	"repro/internal/faults"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/skc"
 )
@@ -14,26 +13,12 @@ import (
 // states only what it overrides.
 type Option func(*KnowTrans)
 
-// WithOracle sets the oracle the AKB search consults — the single
-// error-aware seam (akb.FallibleOracle) a remote-API client implements.
-// It takes precedence over WithPlainOracle and disables WithFaults (the
-// caller owns the whole chain).
-func WithOracle(o akb.FallibleOracle) Option {
-	return func(kt *KnowTrans) { kt.Oracle = o }
-}
-
-// WithPlainOracle plugs in an infallible in-process oracle (the simulated
-// GPT of internal/oracle, or a test stub). Transfer lifts it into the
-// fallible seam per seed — through the injector/resilience chain when
-// WithFaults armed a spec, through the thin akb.AsFallible adapter
-// otherwise.
-//
-// Deprecated: this is the compatibility adapter for the pre-redesign
-// `Oracle akb.Oracle` field, kept for one release. New code should
-// implement akb.FallibleOracle and use WithOracle — unless it arms
-// WithFaults, whose injector wraps the plain oracle underneath the chain.
-func WithPlainOracle(o akb.Oracle) Option {
-	return func(kt *KnowTrans) { kt.plain = o }
+// WithOracle sets the oracle the AKB search consults (the simulated GPT of
+// internal/oracle, or a test stub). Transfer lifts it into the error-aware
+// search per seed through OracleChain — the injector/resilience chain when
+// WithFaults armed a spec, the thin akb.AsFallible adapter otherwise.
+func WithOracle(o akb.Oracle) Option {
+	return func(kt *KnowTrans) { kt.oracle = o }
 }
 
 // WithFaults arms seeded chaos injection on the oracle path: every Transfer
@@ -74,9 +59,4 @@ func WithSKCOptions(opts skc.Options) Option {
 // the paper defaults (the config is normalized on entry to the search).
 func WithAKBConfig(cfg akb.Config) Option {
 	return func(kt *KnowTrans) { kt.AKB = cfg }
-}
-
-// WithPlainFT overrides the fine-tuning recipe of the "w/o SKC" ablation.
-func WithPlainFT(tc model.TrainConfig) Option {
-	return func(kt *KnowTrans) { kt.PlainFT = tc }
 }

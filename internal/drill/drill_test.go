@@ -6,8 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +13,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 	"repro/internal/serve"
 )
 
@@ -131,21 +128,21 @@ func mustHold(t *testing.T, r *Report, want map[string]float64) {
 
 func TestServeDrill(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		warm, serial bool
-	}{{"cold batched", false, false}, {"warm serial", true, true}} {
+		name string
+		warm bool
+	}{{"cold batched", false}, {"warm batched", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := obs.NewRecorder(obs.NewRegistry(), nil)
-			opts := serve.Options{MaxBatch: 4, MaxWait: time.Millisecond, SerialPredict: tc.serial, Rec: rec}
+			opts := serve.Options{MaxBatch: 4, MaxWait: time.Millisecond, Rec: rec}
 			reg := serve.NewRegistry(fakeTransfer, opts)
 			r, err := Serve(context.Background(), ServeSpec{
 				Handler: serve.NewServer(reg, opts), Registry: reg, Metrics: rec.Metrics, Reference: fakeRef{},
-				Requests: 64, Concurrency: 16, Adapters: 4, Warm: tc.warm, SerialPredict: tc.serial, Seed: 7,
+				Requests: 64, Concurrency: 16, Adapters: 4, Warm: tc.warm, Seed: 7,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustHold(t, r, map[string]float64{"requests": 64, "mismatches": 0, "keys_single_transfer": 4})
+			mustHold(t, r, map[string]float64{"requests": 64, "mismatches": 0, "keys_single_transfer": 4, "unbatched_batches": 0})
 			if r.Notes["sample_trace"] == "" {
 				t.Error("no sample trace recorded")
 			}
@@ -286,46 +283,4 @@ func TestRunLoadCountsMismatches(t *testing.T) {
 	if rep.Mismatches != 1 || rep.FirstError == "" {
 		t.Fatalf("report = %+v, want one mismatch", rep)
 	}
-}
-
-// TestWarmPairAllocates is the warm-pair gate of script/check.sh, fed the
-// reports of a warm -serial-predict serve selftest and a warm batched one
-// as KNOWTRANS_WARM_PAIR="SERIAL.json BATCHED.json": the batched forward
-// must allocate strictly fewer bytes per request than the serial oracle.
-// Without the variable there is no pair to compare.
-func TestWarmPairAllocates(t *testing.T) {
-	pair := strings.Fields(os.Getenv("KNOWTRANS_WARM_PAIR"))
-	if len(pair) == 0 {
-		t.Skip("KNOWTRANS_WARM_PAIR not set")
-	}
-	if len(pair) != 2 {
-		t.Fatalf("KNOWTRANS_WARM_PAIR = %q, want two report paths", pair)
-	}
-	var bytesPerOp [2]float64
-	for i, path := range pair {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := analyze.ReadDrillReport(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Check(); err != nil {
-			t.Fatal(err)
-		}
-		if wantSerial := fmt.Sprint(i == 0); r.Drill != "serve" || r.Config["warm"] != "true" || r.Config["serial_predict"] != wantSerial {
-			t.Fatalf("%s: drill %q warm=%q serial_predict=%q, want a warm serve report with serial_predict=%s",
-				path, r.Drill, r.Config["warm"], r.Config["serial_predict"], wantSerial)
-		}
-		v, ok := value(r, "bytes_per_op")
-		if !ok {
-			t.Fatalf("%s records no bytes_per_op", path)
-		}
-		bytesPerOp[i] = v
-	}
-	if bytesPerOp[1] >= bytesPerOp[0] {
-		t.Fatalf("warm batched run allocates %.0f B/op, not below the serial oracle's %.0f", bytesPerOp[1], bytesPerOp[0])
-	}
-	t.Logf("warm B/op: batched %.0f vs serial %.0f", bytesPerOp[1], bytesPerOp[0])
 }

@@ -27,9 +27,6 @@ type ServeSpec struct {
 	// Warm builds every adapter before the timed load, so throughput and
 	// bytes/op measure serving cost rather than cold starts.
 	Warm bool
-	// SerialPredict says the server was pinned to the serial oracle path:
-	// it must then never touch the batched forward.
-	SerialPredict bool
 	// Faulted says oracle faults are armed: availability (non_2xx) becomes
 	// context. Answers must still match the equally faulted reference.
 	Faulted bool
@@ -40,8 +37,8 @@ type ServeSpec struct {
 // Serve runs the serve drill. Its invariants: every request answered
 // byte-identically to the direct path, no non-2xx when no faults are
 // armed, every client traceparent echoed, each adapter's cold start
-// coalesced to exactly one Transfer, and every drained batch on the path
-// the server was configured for.
+// coalesced to exactly one Transfer, and every drained batch answered by
+// the batched forward.
 func Serve(ctx context.Context, s ServeSpec) (*Report, error) {
 	keys, err := pickKeys(s.Reference, s.Adapters)
 	if err != nil {
@@ -88,7 +85,7 @@ func Serve(ctx context.Context, s ServeSpec) (*Report, error) {
 	bs := ms.Histograms["serve.batch_size"]
 
 	r := newReport("serve", s.Config, "keys", strings.Join(keys, ","), "seed", fmt.Sprint(s.Seed),
-		"warm", fmt.Sprint(s.Warm), "serial_predict", fmt.Sprint(s.SerialPredict))
+		"warm", fmt.Sprint(s.Warm))
 	r.WallS = rep.WallS
 	note(r, "sample_trace", rep.SampleTrace)
 	note(r, "first_error", rep.FirstError)
@@ -111,12 +108,8 @@ func Serve(ctx context.Context, s ServeSpec) (*Report, error) {
 		}
 	}
 	r.Invariant("keys_single_transfer", float64(single), float64(len(keys)), "keys")
-	if s.SerialPredict {
-		r.Invariant("batched_predicts", float64(batched), 0, "count")
-	} else {
-		r.Invariant("unbatched_batches", float64(batches-batched), 0, "count")
-		r.Context("batched_predicts", float64(batched), "count")
-	}
+	r.Invariant("unbatched_batches", float64(batches-batched), 0, "count")
+	r.Context("batched_predicts", float64(batched), "count")
 
 	r.Perf("throughput_rps", rep.RPS, "req/s", analyze.BetterHigher)
 	r.Perf("p50_us", rep.P50us, "us", analyze.BetterLower)
@@ -144,8 +137,8 @@ func Serve(ctx context.Context, s ServeSpec) (*Report, error) {
 	logf("selftest: resources: %.0f B/op, %.1f allocs/op, %d gc cycles (%.1fms pause), %d goroutines, heap %.1fMB",
 		float64(rd.AllocBytes)/float64(rep.Requests), float64(rd.AllocObjects)/float64(rep.Requests),
 		rd.GCCycles, rd.GCPauseUS/1e3, after.Goroutines, float64(after.HeapLiveBytes)/(1<<20))
-	logf("selftest: batching: %d batches (avg %.1f, max %.0f), %d batched predicts, serial=%v",
-		batches, bs.Mean, bs.Max, batched, s.SerialPredict)
+	logf("selftest: batching: %d batches (avg %.1f, max %.0f), %d batched predicts",
+		batches, bs.Mean, bs.Max, batched)
 	logf("selftest: slowest request trace %s (inspect: knowtrans obs trace FILE.jsonl -trace-id %s)",
 		rep.SampleTrace, rep.SampleTrace)
 	return r, nil

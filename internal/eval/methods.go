@@ -107,7 +107,7 @@ func (k *ktMethod) Adapt(ctx *baselines.AdaptContext) baselines.Predictor {
 		rec = k.z.Rec
 	}
 	kt := core.NewKnowTrans(backbone, k.z.Patches(k.size),
-		core.WithPlainOracle(oracle.New(ctx.Seed+771)),
+		core.WithOracle(oracle.New(ctx.Seed+771)),
 		core.WithFaults(k.z.Faults),
 		core.WithSKC(k.useSKC),
 		core.WithAKB(k.useAKB),
@@ -130,7 +130,7 @@ func (z *Zoo) AdaptKnowTrans(ctx *baselines.AdaptContext, size Size, useSKC, use
 		rec = z.Rec
 	}
 	kt := core.NewKnowTrans(backbone, z.Patches(size),
-		core.WithPlainOracle(oracle.New(ctx.Seed+771)),
+		core.WithOracle(oracle.New(ctx.Seed+771)),
 		core.WithFaults(z.Faults),
 		core.WithSKC(useSKC),
 		core.WithAKB(useAKB),

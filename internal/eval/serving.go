@@ -31,7 +31,7 @@ func (z *Zoo) TransferDataset(ctx context.Context, key string, size Size) (*core
 	}
 	fewshot := b.DS.FewShot(rand.New(rand.NewSource(z.Seed)), FewShotN)
 	kt := core.NewKnowTrans(z.Upstream(size), z.Patches(size),
-		core.WithPlainOracle(oracle.New(z.Seed+771)),
+		core.WithOracle(oracle.New(z.Seed+771)),
 		core.WithFaults(z.Faults),
 		core.WithSKCOptions(skc.Options{Strategy: lora.StrategyAdaptive}),
 		core.WithRecorder(z.Rec),

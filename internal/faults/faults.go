@@ -132,7 +132,7 @@ type Injector struct {
 // [0, 1] — a misconfigured chaos harness should fail loudly, not inject a
 // silently clamped rate.
 func Wrap(inner akb.Oracle, cfg Config) *Injector {
-	if cfg.Rate < 0 || cfg.Rate > 1 {
+	if !(cfg.Rate >= 0 && cfg.Rate <= 1) { // NaN fails too
 		panic(fmt.Sprintf("faults: rate %v outside [0,1]", cfg.Rate))
 	}
 	kinds := cfg.Kinds

@@ -184,7 +184,7 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("rate=0 must be a valid spec: %+v %v", cfg, err)
 	}
 	for _, bad := range []string{
-		"", "seed=9", "rate=1.5", "rate=x", "rate=0.1,bogus=1",
+		"", "seed=9", "rate=1.5", "rate=x", "rate=NaN", "rate=0.1,bogus=1",
 		"rate=0.1,kinds=nope", "rate=0.1,latency=-1s", "rate",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
@@ -208,10 +208,14 @@ func TestDeriveSeedIndependence(t *testing.T) {
 }
 
 func TestWrapRejectsBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Wrap accepted rate 2")
-		}
-	}()
-	Wrap(&scriptOracle{}, Config{Rate: 2})
+	for _, rate := range []float64{2, -0.1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Wrap accepted rate %v", rate)
+				}
+			}()
+			Wrap(&scriptOracle{}, Config{Rate: rate})
+		}()
+	}
 }

@@ -32,7 +32,8 @@ func ParseSpec(spec string) (Config, error) {
 		switch key {
 		case "rate":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			// Written so NaN, for which every comparison is false, fails.
+			if err != nil || !(r >= 0 && r <= 1) {
 				return Config{}, fmt.Errorf("faults: rate %q must be a number in [0,1]", val)
 			}
 			cfg.Rate = r

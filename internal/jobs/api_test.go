@@ -84,25 +84,7 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 		t.Fatalf("submit response: %+v", sub)
 	}
 
-	var snap Snapshot
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, blob = doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.Job.ID, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll: %d %s", resp.StatusCode, blob)
-		}
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			t.Fatal(err)
-		}
-		if snap.State != StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job still running: %+v", snap)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if snap.State != StateDone || snap.RowsDone != 8 || snap.ShardsDone != 2 {
+	if snap := pollDone(t, ts.URL, sub.Job.ID); snap.State != StateDone || snap.RowsDone != 8 || snap.ShardsDone != 2 {
 		t.Fatalf("job did not finish cleanly: %+v", snap)
 	}
 	if _, err := os.Stat(out); err != nil {
@@ -110,10 +92,37 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	}
 
 	// Re-submitting the done job reruns it; the checkpoint makes that a
-	// pure resume (all shards adopted).
+	// pure resume (all shards adopted). It must finish before the test
+	// returns, or its checkpoint writes race the temp-dir cleanup.
 	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(specYAML))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", resp.StatusCode, blob)
+	}
+	if snap := pollDone(t, ts.URL, sub.Job.ID); snap.State != StateDone {
+		t.Fatalf("resumed job did not finish cleanly: %+v", snap)
+	}
+}
+
+// pollDone polls a job until it leaves the running state.
+func pollDone(t *testing.T, url, id string) Snapshot {
+	t.Helper()
+	var snap Snapshot
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, blob := doReq(t, http.MethodGet, url+"/v1/jobs/"+id, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("poll: %d %s", resp.StatusCode, blob)
+		}
+		if err := json.Unmarshal(blob, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.State != StateRunning {
+			return snap
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still running: %+v", snap)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

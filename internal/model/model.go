@@ -247,11 +247,6 @@ func (m *Model) Predict(ex *tasks.Example) int {
 	return best
 }
 
-// PredictText returns the predicted candidate string.
-func (m *Model) PredictText(ex *tasks.Example) string {
-	return ex.Candidates[m.Predict(ex)]
-}
-
 // Loss computes the softmax cross-entropy of an example without touching
 // gradients.
 func (m *Model) Loss(ex *tasks.Example) float64 {
@@ -335,7 +330,8 @@ func (m *Model) step(ex *tasks.Example, x *tensor.Sparse) float64 {
 }
 
 // PredictWith serializes an instance under the given knowledge and returns
-// the model's answer. It satisfies akb.Predictor.
+// the model's answer: the serial reference the batched PredictBatchWith
+// (which satisfies akb.Predictor) is bit-identical to.
 func (m *Model) PredictWith(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) string {
 	ex := tasks.BuildExample(spec, in, k)
 	return ex.Candidates[m.Predict(ex)]

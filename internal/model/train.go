@@ -34,6 +34,14 @@ func DefaultTrain(seed int64) TrainConfig {
 	return TrainConfig{Epochs: 3, LR: 0.02, Clip: 5, Seed: seed, WeightDecay: 1e-4}
 }
 
+// FewShotTrain returns the gentle few-shot fine-tuning recipe shared by
+// SKC's few-shot stage, the "w/o SKC" ablation and the fine-tuned
+// baselines: even rank-constrained patches can memorize 20 examples if
+// trained long, which trades upstream calibration for training-set fit.
+func FewShotTrain(seed int64) TrainConfig {
+	return TrainConfig{Epochs: 6, LR: 0.01, Clip: 5, Seed: seed, WeightDecay: 3e-4, BatchSize: 4}
+}
+
 // TrainExample pairs an instance with the knowledge active when it is
 // serialized, letting one training stream mix datasets with different
 // (or no) knowledge — exactly how upstream multi-task SFT mixes tasks.

@@ -148,12 +148,6 @@ func (ps *ParamSet) Add(params ...*Param) { ps.Mats = append(ps.Mats, params...)
 // AddScalar appends scalar parameters.
 func (ps *ParamSet) AddScalar(scalars ...*Scalar) { ps.Scalars = append(ps.Scalars, scalars...) }
 
-// Merge appends everything in other.
-func (ps *ParamSet) Merge(other ParamSet) {
-	ps.Mats = append(ps.Mats, other.Mats...)
-	ps.Scalars = append(ps.Scalars, other.Scalars...)
-}
-
 // ZeroGrad clears all gradients.
 func (ps *ParamSet) ZeroGrad() {
 	for _, p := range ps.Mats {

@@ -199,17 +199,19 @@ func ParseTraceparent(s string) (SpanContext, error) {
 	if err != nil {
 		return SpanContext{}, fmt.Errorf("obs: traceparent %q: %w", s, err)
 	}
-	if len(parts[2]) != 16 {
+	// Decoded strictly: hex digits only, no padding, sign or trailing junk.
+	span, err := hex.DecodeString(parts[2])
+	if len(parts[2]) != 16 || err != nil {
 		return SpanContext{}, fmt.Errorf("obs: traceparent %q: parent id wants 16 hex chars", s)
 	}
-	var span uint64
-	if _, err := fmt.Sscanf(parts[2], "%016x", &span); err != nil {
-		return SpanContext{}, fmt.Errorf("obs: traceparent %q: parent id: %w", s, err)
+	if _, err := hex.DecodeString(parts[3]); len(parts[3]) != 2 || err != nil {
+		return SpanContext{}, fmt.Errorf("obs: traceparent %q: flags want 2 hex chars", s)
 	}
-	if span == 0 {
+	id := binary.BigEndian.Uint64(span)
+	if id == 0 {
 		return SpanContext{}, fmt.Errorf("obs: traceparent %q: all-zero parent id is invalid", s)
 	}
-	return SpanContext{Trace: trace, Span: span}, nil
+	return SpanContext{Trace: trace, Span: id}, nil
 }
 
 // KindEvent marks a point-in-time event record in the trace stream; span

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -53,6 +55,12 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"00-00000000000000000000000000000000-b7ad6b7169203331-01",
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",
 		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",
+		// A scanf-style parse took these as span 0x1234567890123 and
+		// 0xb7ad6b71692033, and never looked at the flags.
+		"00-0af7651916cd43dd8448eb211c80319c-   1234567890123-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b71692033_1-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-zz",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-1",
 	} {
 		if _, err := ParseTraceparent(bad); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted garbage", bad)
@@ -253,4 +261,36 @@ func TestSeededTracerAvoidsClientStream(t *testing.T) {
 		}
 		s.End()
 	}
+}
+
+// FuzzTraceparent pins the traceparent codec: every non-zero span context
+// survives Format→Parse, and Format∘Parse is idempotent on every accepted
+// header, whose parent-id field must be the span it parsed to (no scanf
+// leniency about spaces or trailing junk).
+func FuzzTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", uint64(0), uint64(0), uint64(0))
+	f.Add("42-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-00-extra", uint64(1), uint64(2), uint64(3))
+	f.Fuzz(func(t *testing.T, s string, hi, lo, span uint64) {
+		var sc SpanContext
+		binary.BigEndian.PutUint64(sc.Trace[:8], hi)
+		binary.BigEndian.PutUint64(sc.Trace[8:], lo)
+		sc.Span = span
+		if !sc.IsZero() {
+			if got, err := ParseTraceparent(FormatTraceparent(sc)); err != nil || got != sc {
+				t.Fatalf("Parse(Format(%+v)) = %+v, %v", sc, got, err)
+			}
+		}
+		got, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if parts := strings.Split(strings.TrimSpace(s), "-"); !strings.EqualFold(parts[2], fmt.Sprintf("%016x", got.Span)) {
+			t.Fatalf("%q parsed to span %016x", s, got.Span)
+		}
+		once := FormatTraceparent(got)
+		again, err := ParseTraceparent(once)
+		if err != nil || FormatTraceparent(again) != once {
+			t.Fatalf("Format∘Parse not idempotent on %q: %q then %+v, %v", s, once, again, err)
+		}
+	})
 }

@@ -150,7 +150,7 @@ func TestLingerStillWaitsWhenFresh(t *testing.T) {
 // TestLingerTimerReused: the linger timer is allocated once per batcher and
 // reused across batches, not once per linger.
 func TestLingerTimerReused(t *testing.T) {
-	b := newBatcher("K", &stubAdapter{key: "K"}, 2, 50*time.Millisecond, false, nil)
+	b := newBatcher("K", &stubAdapter{key: "K"}, 2, 50*time.Millisecond, nil)
 	for i := 0; i < 6; i++ {
 		if _, err := b.predict(context.Background(), inst(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
@@ -163,17 +163,18 @@ func TestLingerTimerReused(t *testing.T) {
 }
 
 // TestBatchedPredictMatchesSerialUnderLoad drives 64 concurrent requests
-// through two batchers over equivalent adapters — one batched, one pinned
-// serial — and requires byte-identical answers, with the batched side never
-// touching the serial entry point and vice versa. Run under -race this also
-// exercises the depth-gauge-under-mutex and scratch-ownership invariants.
+// through two batchers over equivalent adapters — one batched, one
+// Predict-only and so answered per request — and requires byte-identical
+// answers, with the batched side never touching the serial entry point. Run
+// under -race this also exercises the depth-gauge-under-mutex and
+// scratch-ownership invariants.
 func TestBatchedPredictMatchesSerialUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 	adB := &stubBatchAdapter{stubAdapter: stubAdapter{key: "K", delay: time.Millisecond}}
-	adS := &stubBatchAdapter{stubAdapter: stubAdapter{key: "K", delay: time.Millisecond}}
-	bb := newBatcher("K", adB, 8, 2*time.Millisecond, false, rec)
-	bs := newBatcher("K", adS, 8, 2*time.Millisecond, true, rec)
+	adS := &stubAdapter{key: "K", delay: time.Millisecond}
+	bb := newBatcher("K", adB, 8, 2*time.Millisecond, rec)
+	bs := newBatcher("K", adS, 8, 2*time.Millisecond, rec)
 	defer bb.stop()
 	defer bs.stop()
 
@@ -214,9 +215,6 @@ func TestBatchedPredictMatchesSerialUnderLoad(t *testing.T) {
 	if adB.batchCalls.Load() == 0 {
 		t.Fatal("batched batcher never called PredictBatch")
 	}
-	if adS.batchCalls.Load() != 0 {
-		t.Fatalf("serial-pinned batcher made %d PredictBatch calls", adS.batchCalls.Load())
-	}
 	if c := reg.Counter("serve.batched_predicts").Value(); c == 0 {
 		t.Fatal("serve.batched_predicts counter never incremented")
 	}
@@ -224,12 +222,12 @@ func TestBatchedPredictMatchesSerialUnderLoad(t *testing.T) {
 
 // TestBatchFallsBackOnWrongLength: a BatchPredictor returning the wrong
 // number of answers must not corrupt responses — the batch re-runs through
-// the serial oracle path.
+// per-request Predict calls.
 func TestBatchFallsBackOnWrongLength(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 	ad := &stubBatchAdapter{stubAdapter: stubAdapter{key: "K"}, wrongLen: true}
-	b := newBatcher("K", ad, 4, time.Millisecond, false, rec)
+	b := newBatcher("K", ad, 4, time.Millisecond, rec)
 	defer b.stop()
 
 	for i := 0; i < 3; i++ {

@@ -64,11 +64,7 @@ type batcher struct {
 	ad       Adapter
 	maxBatch int
 	maxWait  time.Duration
-	// serial forces the per-request oracle path even when the adapter
-	// implements BatchPredictor (Options.SerialPredict; the perf gate's
-	// baseline and the selftest's reference behavior).
-	serial bool
-	rec    *obs.Recorder
+	rec      *obs.Recorder
 	// depthGauge is the per-key queue depth gauge name, precomputed so the
 	// enqueue hot path does no string concatenation.
 	depthGauge string
@@ -98,13 +94,12 @@ type batcher struct {
 	ins  []*data.Instance
 }
 
-func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, serial bool, rec *obs.Recorder) *batcher {
+func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, rec *obs.Recorder) *batcher {
 	b := &batcher{
 		key:        key,
 		ad:         ad,
 		maxBatch:   maxBatch,
 		maxWait:    maxWait,
-		serial:     serial,
 		rec:        rec,
 		depthGauge: "serve.queue_depth/" + key,
 		now:        time.Now,
@@ -259,11 +254,10 @@ func (b *batcher) linger(wait time.Duration) {
 
 // serve answers one batch. Per-adapter calls are serialized by construction
 // (one loop per batcher); requests whose context already expired are shed
-// without touching the model. When the adapter implements BatchPredictor
-// (and the batcher is not pinned serial), the surviving requests are
-// answered by ONE batched forward pass; otherwise — and as the fallback if
-// the batched call returns the wrong number of answers — each request runs
-// through the serial oracle path.
+// without touching the model. When the adapter implements BatchPredictor,
+// the surviving requests are answered by ONE batched forward pass;
+// otherwise — and as the fallback if the batched call returns the wrong
+// number of answers — each request runs through its own Predict call.
 //
 // The serve.batch span lives in its own trace — batching is shared work, so
 // it belongs to no single request — and instead *links* every member
@@ -301,7 +295,7 @@ func (b *batcher) serve(batch []*predictReq) {
 		live = append(live, r)
 	}
 	b.live = live[:0] // retain grown scratch for the next batch
-	if bp, ok := b.ad.(BatchPredictor); ok && !b.serial && len(live) > 0 {
+	if bp, ok := b.ad.(BatchPredictor); ok && len(live) > 0 {
 		ins := b.ins[:0]
 		for _, r := range live {
 			ins = append(ins, r.in)

@@ -68,10 +68,6 @@ type Options struct {
 	// holds at least one request, measured from the oldest queued request's
 	// arrival. Default 2ms.
 	MaxWait time.Duration
-	// SerialPredict forces per-request Predict calls even for adapters that
-	// implement BatchPredictor. This is the oracle mode: the selftest and the
-	// perf gate compare batched output/throughput against it.
-	SerialPredict bool
 	// RequestTimeout is the per-request deadline the server applies on top
 	// of the client's context. Default 60s; negative disables.
 	RequestTimeout time.Duration
@@ -357,7 +353,7 @@ func (r *Registry) installLocked(key string, ad Adapter) {
 		key:     key,
 		ad:      ad,
 		lastUse: r.clock,
-		bat:     newBatcher(key, ad, r.opts.MaxBatch, r.opts.MaxWait, r.opts.SerialPredict, r.rec),
+		bat:     newBatcher(key, ad, r.opts.MaxBatch, r.opts.MaxWait, r.rec),
 	}
 	r.ready[key] = e
 	for len(r.ready) > r.opts.MaxAdapters {

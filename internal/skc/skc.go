@@ -59,10 +59,7 @@ func (o Options) withDefaults() Options {
 		o.PatchTrain = model.TrainConfig{Epochs: 2, LR: 0.02, Clip: 5, Seed: o.Seed + 1}
 	}
 	if o.FewShot.Epochs == 0 {
-		// Gentle few-shot fine-tuning: even rank-constrained patches can
-		// memorize 20 examples if trained long, which trades upstream
-		// calibration for training-set fit.
-		o.FewShot = model.TrainConfig{Epochs: 6, LR: 0.01, Clip: 5, Seed: o.Seed + 2, WeightDecay: 3e-4, BatchSize: 4}
+		o.FewShot = model.FewShotTrain(o.Seed + 2)
 	}
 	// Strategy's zero value is StrategyAdaptive — SKC proper.
 	return o

@@ -212,13 +212,6 @@ func (m *Mat) FillGaussian(rng *rand.Rand, std float64) {
 	}
 }
 
-// FillUniform fills m with Uniform(-a, a) samples drawn from rng.
-func (m *Mat) FillUniform(rng *rand.Rand, a float64) {
-	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * a
-	}
-}
-
 // Sparse is a sparse vector: parallel slices of strictly increasing indices
 // and their values. The zero value is an empty vector.
 type Sparse struct {
